@@ -12,6 +12,11 @@ from dataclasses import dataclass
 
 MIN_CHUNK_SIZE = 1
 MAX_CHUNK_SIZE = 65536
+# Upper bound on k. Far above any useful filter (the optimum is about
+# 0.7 * bits per element), and small enough that an element's index list,
+# built by every insert, prove and verify, stays cheap even when k comes
+# from an untrusted file header.
+MAX_K = 1 << 16
 
 _LN2 = math.log(2)
 _U64_MASK = (1 << 64) - 1
@@ -21,9 +26,9 @@ _U64_MASK = (1 << 64) - 1
 class BloomParams:
     """Filter geometry shared by prover and verifier.
 
-    m is the bit count, k the number of hash indices per element, and
-    chunk_size the number of bytes per committed chunk. The chunk count
-    m / (chunk_size * 8) is always a power of two.
+    m is the bit count, k in [1, MAX_K] the number of hash indices per
+    element, and chunk_size the number of bytes per committed chunk. The
+    chunk count m / (chunk_size * 8) is always a power of two.
     """
 
     m: int
@@ -35,8 +40,8 @@ class BloomParams:
             raise ValueError(
                 f"chunk_size must be in [{MIN_CHUNK_SIZE}, {MAX_CHUNK_SIZE}], got {self.chunk_size}"
             )
-        if not 1 <= self.k < (1 << 32):
-            raise ValueError(f"k must be in [1, 2^32), got {self.k}")
+        if not 1 <= self.k <= MAX_K:
+            raise ValueError(f"k must be in [1, {MAX_K}], got {self.k}")
         if not 1 <= self.m < (1 << 64):
             raise ValueError(f"m must be in [1, 2^64), got {self.m}")
         bits = self.chunk_size * 8
@@ -69,7 +74,8 @@ def derive_params(n: int, p: float, chunk_size: int) -> BloomParams:
 
     The raw optimal bit count ceil(n * -ln(p) / ln(2)^2) is padded up to the
     next power-of-two multiple of the chunk bit width, and k is chosen
-    near-optimal for the padded size: max(1, round(m/n * ln 2)).
+    near-optimal for the padded size: max(1, round(m/n * ln 2)), clamped to
+    MAX_K.
     """
     if n < 1:
         raise ValueError(f"expected element count must be >= 1, got {n}")
@@ -84,7 +90,7 @@ def derive_params(n: int, p: float, chunk_size: int) -> BloomParams:
     while count * chunk_bits < m_raw:
         count *= 2
     m = count * chunk_bits
-    k = max(1, round(m / n * _LN2))
+    k = min(MAX_K, max(1, round(m / n * _LN2)))
     return BloomParams(m=m, k=k, chunk_size=chunk_size)
 
 
@@ -131,16 +137,21 @@ class BloomFilter:
     Bit i lives in byte i // 8 at position i % 8, least significant bit
     first. Build is single-writer; once the owner stops inserting, the
     filter is safe for unlimited concurrent readers.
+
+    ``bits`` given as ``bytes`` are kept as they are, which makes the
+    filter read-only (insert raises TypeError); any other buffer is copied
+    into a fresh ``bytearray`` the filter owns.
     """
 
     params: BloomParams
-    bits: bytearray | None = None
+    bits: bytearray | bytes | None = None
 
     def __post_init__(self):
         if self.bits is None:
             self.bits = bytearray(self.params.byte_length)
         else:
-            self.bits = bytearray(self.bits)
+            if type(self.bits) is not bytes:
+                self.bits = bytearray(self.bits)
             if len(self.bits) != self.params.byte_length:
                 raise ValueError(
                     f"backing array must be exactly {self.params.byte_length} bytes, got {len(self.bits)}"

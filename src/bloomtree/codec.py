@@ -124,7 +124,7 @@ def decode_filter(data: bytes) -> BloomTree:
     filter_bytes = reader.take(params.byte_length)
     stored_root = reader.take(DIGEST_SIZE)
     reader.finish()
-    bloom_tree = build(BloomFilter(params, bytearray(filter_bytes)))
+    bloom_tree = build(BloomFilter(params, filter_bytes))  # bytes: shared, not copied
     if bloom_tree.root != stored_root:
         raise RootMismatch("stored root does not match the root rebuilt from the filter bytes")
     return bloom_tree
@@ -141,22 +141,33 @@ def encode_proof(params: BloomParams, proof: Proof) -> bytes:
             raise ValueError("proof too large for u16 count fields")
         _check_chunks(params, proof.chunks)
         _check_digests(proof.multiproof)
-        body = struct.pack("<H", count)
-        body += b"".join(struct.pack("<Q", i) for i in proof.chunk_indices)
-        body += b"".join(bytes(c) for c in proof.chunks)
-        body += struct.pack("<H", len(proof.multiproof))
-        body += b"".join(bytes(d) for d in proof.multiproof)
-        return header + bytes([PRESENCE_KIND]) + _pack_params(params) + body
+        return b"".join(
+            (
+                header,
+                bytes([PRESENCE_KIND]),
+                _pack_params(params),
+                struct.pack(f"<H{count}Q", count, *proof.chunk_indices),
+                *proof.chunks,
+                struct.pack("<H", len(proof.multiproof)),
+                *proof.multiproof,
+            )
+        )
     if isinstance(proof, AbsenceProof):
         if len(proof.path) > 0xFFFF:
             raise ValueError("proof too large for u16 count fields")
         _check_chunks(params, (proof.chunk,))
         _check_digests(proof.path)
-        body = struct.pack("<Q", proof.chunk_index)
-        body += bytes(proof.chunk)
-        body += struct.pack("<H", len(proof.path))
-        body += b"".join(bytes(d) for d in proof.path)
-        return header + bytes([ABSENCE_KIND]) + _pack_params(params) + body
+        return b"".join(
+            (
+                header,
+                bytes([ABSENCE_KIND]),
+                _pack_params(params),
+                struct.pack("<Q", proof.chunk_index),
+                proof.chunk,
+                struct.pack("<H", len(proof.path)),
+                *proof.path,
+            )
+        )
     raise TypeError(f"cannot encode proof of type {type(proof).__name__}")
 
 
@@ -167,22 +178,25 @@ def decode_proof(data: bytes) -> tuple[BloomParams, Proof]:
     _expect_version(reader)
     kind = reader.u8()
     params = _unpack_params(reader)
+    size = params.chunk_size
     if kind == PRESENCE_KIND:
         count = reader.u16()
-        chunk_indices = tuple(reader.u64() for _ in range(count))
-        chunks = tuple(reader.take(params.chunk_size) for _ in range(count))
-        hash_count = reader.u16()
-        multiproof = tuple(reader.take(DIGEST_SIZE) for _ in range(hash_count))
+        chunk_indices = struct.unpack(f"<{count}Q", reader.take(8 * count))
+        chunks = _split(reader.take(size * count), size)
+        multiproof = _split(reader.take(DIGEST_SIZE * reader.u16()), DIGEST_SIZE)
         reader.finish()
         return params, PresenceProof(chunk_indices=chunk_indices, chunks=chunks, multiproof=multiproof)
     if kind == ABSENCE_KIND:
         chunk_index = reader.u64()
-        chunk = reader.take(params.chunk_size)
-        path_length = reader.u16()
-        path = tuple(reader.take(DIGEST_SIZE) for _ in range(path_length))
+        chunk = reader.take(size)
+        path = _split(reader.take(DIGEST_SIZE * reader.u16()), DIGEST_SIZE)
         reader.finish()
         return params, AbsenceProof(chunk_index=chunk_index, chunk=chunk, path=path)
     raise InvalidField(f"unknown proof kind 0x{kind:02x}")
+
+
+def _split(section: bytes, width: int) -> tuple[bytes, ...]:
+    return tuple([section[i : i + width] for i in range(0, len(section), width)])
 
 
 def _pack_params(params: BloomParams) -> bytes:
@@ -211,12 +225,10 @@ def _expect_version(reader: _Reader) -> None:
 
 
 def _check_chunks(params: BloomParams, chunks) -> None:
-    for chunk in chunks:
-        if len(chunk) != params.chunk_size:
-            raise ValueError(f"chunks must be exactly {params.chunk_size} bytes")
+    if not set(map(len, chunks)) <= {params.chunk_size}:
+        raise ValueError(f"chunks must be exactly {params.chunk_size} bytes")
 
 
 def _check_digests(digests) -> None:
-    for digest in digests:
-        if len(digest) != DIGEST_SIZE:
-            raise ValueError("digests must be exactly 32 bytes")
+    if not set(map(len, digests)) <= {DIGEST_SIZE}:
+        raise ValueError("digests must be exactly 32 bytes")

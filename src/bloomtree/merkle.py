@@ -23,6 +23,7 @@ DIGEST_SIZE = 32
 Digest = bytes
 
 _NODE_PREFIX = b"\x01"
+_DIGEST_TYPES = {bytes, bytearray}
 
 
 def node_hash(left: Digest, right: Digest) -> Digest:
@@ -34,16 +35,17 @@ def node_hash(left: Digest, right: Digest) -> Digest:
 class MerkleTree:
     """All levels of a complete binary Merkle tree.
 
-    levels[0] holds the 2^L leaves, levels[t] has 2^(L-t) digests, and the
-    top level holds the single root. Immutable after build; safe to share
-    across threads.
+    levels[0] holds the 2^L leaves, levels[t] the 2^(L-t) nodes of level t,
+    and the top level the single root. Each level is one contiguous buffer:
+    node i of a level sits at bytes [32i, 32i + 32). Immutable after build;
+    safe to share across threads.
     """
 
-    levels: tuple[tuple[Digest, ...], ...]
+    levels: tuple[bytes, ...]
 
     @property
     def leaf_count(self) -> int:
-        return len(self.levels[0])
+        return len(self.levels[0]) // DIGEST_SIZE
 
     @property
     def depth(self) -> int:
@@ -51,7 +53,15 @@ class MerkleTree:
 
     @property
     def root(self) -> Digest:
-        return self.levels[-1][0]
+        return self.levels[-1]
+
+    def node(self, level: int, index: int) -> Digest:
+        """Digest of node ``index`` of level ``level`` (level 0 holds the leaves)."""
+        buffer = self.levels[level]
+        if not 0 <= index < len(buffer) // DIGEST_SIZE:
+            raise IndexError(f"node {index} out of range for level {level}")
+        start = index * DIGEST_SIZE
+        return buffer[start : start + DIGEST_SIZE]
 
 
 def build_tree(leaves: Sequence[Digest]) -> MerkleTree:
@@ -59,13 +69,20 @@ def build_tree(leaves: Sequence[Digest]) -> MerkleTree:
     count = len(leaves)
     if count < 1 or count & (count - 1):
         raise ValueError(f"leaf count must be a power of two >= 1, got {count}")
-    for leaf in leaves:
-        if len(leaf) != DIGEST_SIZE:
-            raise ValueError("leaves must be 32-byte digests")
-    levels = [tuple(bytes(leaf) for leaf in leaves)]
-    while len(levels[-1]) > 1:
-        prev = levels[-1]
-        levels.append(tuple(node_hash(prev[j], prev[j + 1]) for j in range(0, len(prev), 2)))
+    if set(map(len, leaves)) != {DIGEST_SIZE}:
+        raise ValueError("leaves must be 32-byte digests")
+    try:
+        level = b"".join(leaves)
+    except TypeError:
+        raise ValueError("leaves must be 32-byte digests") from None
+    if len(level) != count * DIGEST_SIZE:
+        raise ValueError("leaves must be 32-byte digests")
+    sha256 = hashlib.sha256
+    pair = 2 * DIGEST_SIZE
+    levels = [level]
+    while len(level) > DIGEST_SIZE:
+        level = b"".join([sha256(_NODE_PREFIX + level[j : j + pair]).digest() for j in range(0, len(level), pair)])
+        levels.append(level)
     return MerkleTree(levels=tuple(levels))
 
 
@@ -76,7 +93,8 @@ def prove_single(tree: MerkleTree, leaf_index: int) -> list[Digest]:
     path = []
     pos = leaf_index
     for level in tree.levels[:-1]:
-        path.append(level[pos ^ 1])
+        start = (pos ^ 1) * DIGEST_SIZE
+        path.append(level[start : start + DIGEST_SIZE])
         pos >>= 1
     return path
 
@@ -102,14 +120,15 @@ def verify_single(
         return False
     if len(proof) != leaf_count.bit_length() - 1:
         return False
-    if not all(_is_digest(d) for d in proof):
+    if not _all_digests(proof):
         return False
-    node = bytes(leaf)
+    sha256 = hashlib.sha256
+    node = leaf
     pos = leaf_index
     for sibling in proof:
-        node = node_hash(sibling, node) if pos & 1 else node_hash(node, sibling)
+        node = sha256(_NODE_PREFIX + sibling + node if pos & 1 else _NODE_PREFIX + node + sibling).digest()
         pos >>= 1
-    return node == bytes(root)
+    return node == root
 
 
 def prove_multi(tree: MerkleTree, leaf_indices: Sequence[int]) -> list[Digest]:
@@ -122,18 +141,21 @@ def prove_multi(tree: MerkleTree, leaf_indices: Sequence[int]) -> list[Digest]:
     """
     known = list(leaf_indices)
     _check_strictly_increasing(known, tree.leaf_count)
+    size = DIGEST_SIZE
     proof = []
+    send, unsend = proof.append, proof.pop
     for level in tree.levels[:-1]:
         parents = []
-        i = 0
-        while i < len(known):
-            pos = known[i]
-            if i + 1 < len(known) and known[i + 1] == pos ^ 1:
-                i += 2  # sibling is also known, nothing to send
+        last = -1
+        for pos in known:
+            parent = pos >> 1
+            if parent == last:
+                unsend()  # pos is the sibling its left neighbour asked for: known, not sent
             else:
-                proof.append(level[pos ^ 1])
-                i += 1
-            parents.append(pos >> 1)
+                start = (pos ^ 1) * size
+                send(level[start : start + size])
+                parents.append(parent)
+                last = parent
         known = parents
     return proof
 
@@ -151,49 +173,52 @@ def verify_multi(
     is consumed exactly: underflow, leftovers, duplicate or out-of-range
     indices all yield False.
     """
-    if not _is_power_of_two(leaf_count):
-        return False
-    if not _is_digest(root):
+    if not _is_power_of_two(leaf_count) or not _is_digest(root):
         return False
     try:
         entries = [(index, digest) for index, digest in leaf_entries]
+        proof = list(proof)
     except (TypeError, ValueError):
         return False
     if not entries:
         return False
     positions = [index for index, _ in entries]
-    digests = [digest for _, digest in entries]
+    nodes = [digest for _, digest in entries]
     try:
         _check_strictly_increasing(positions, leaf_count)
     except ValueError:
         return False
-    if not all(_is_digest(d) for d in digests):
-        return False
-    if not all(_is_digest(d) for d in proof):
+    if not _all_digests(nodes) or not _all_digests(proof):
         return False
 
-    frontier = [(pos, bytes(digest)) for pos, digest in zip(positions, digests)]
+    sha256 = hashlib.sha256
+    prefix = _NODE_PREFIX
+    available = len(proof)
     cursor = 0
     for _ in range(leaf_count.bit_length() - 1):
+        count = len(positions)
         parents = []
+        digests = []
         i = 0
-        while i < len(frontier):
-            pos, digest = frontier[i]
-            if i + 1 < len(frontier) and frontier[i + 1][0] == pos ^ 1:
-                parent = node_hash(digest, frontier[i + 1][1])
+        while i < count:
+            pos = positions[i]
+            node = nodes[i]
+            if i + 1 < count and positions[i + 1] == pos ^ 1:
+                digests.append(sha256(prefix + node + nodes[i + 1]).digest())
                 i += 2
             else:
-                if cursor >= len(proof):
+                if cursor == available:
                     return False  # proof underflow
-                sibling = bytes(proof[cursor])
+                sibling = proof[cursor]
                 cursor += 1
-                parent = node_hash(digest, sibling) if pos & 1 == 0 else node_hash(sibling, digest)
+                digests.append(sha256(prefix + sibling + node if pos & 1 else prefix + node + sibling).digest())
                 i += 1
-            parents.append((pos >> 1, parent))
-        frontier = parents
-    if cursor != len(proof):
+            parents.append(pos >> 1)
+        positions = parents
+        nodes = digests
+    if cursor != available:
         return False  # leftover digests
-    return frontier[0][1] == bytes(root)
+    return nodes[0] == root
 
 
 def _is_power_of_two(value) -> bool:
@@ -202,6 +227,14 @@ def _is_power_of_two(value) -> bool:
 
 def _is_digest(value) -> bool:
     return isinstance(value, (bytes, bytearray)) and len(value) == DIGEST_SIZE
+
+
+def _all_digests(values: Sequence) -> bool:
+    """_is_digest for every value, as C-level passes over types and lengths."""
+    if not set(map(type, values)) <= _DIGEST_TYPES:  # subclasses take the slow path
+        if not all(isinstance(v, (bytes, bytearray)) for v in values):
+            return False
+    return set(map(len, values)) <= {DIGEST_SIZE}
 
 
 def _check_strictly_increasing(indices: Sequence[int], leaf_count: int) -> None:

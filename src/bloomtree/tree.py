@@ -11,6 +11,7 @@ proof for one chunk can never be passed off as a proof for another.
 
 import enum
 import hashlib
+import struct
 from dataclasses import dataclass
 
 from .bloom import BloomFilter, BloomParams, indices
@@ -25,7 +26,9 @@ from .merkle import (
     verify_single,
 )
 
-_LEAF_PREFIX = b"\x00"
+# The head of a leaf preimage, 0x00 || chunk index as 8-byte little-endian,
+# packed in one call: _LEAF_HEAD.pack(0, chunk_index).
+_LEAF_HEAD = struct.Struct("<BQ")
 
 
 def leaf_hash(chunk_index: int, chunk: bytes) -> Digest:
@@ -35,7 +38,7 @@ def leaf_hash(chunk_index: int, chunk: bytes) -> Digest:
     salt is what makes chunk substitution detectable; the 0x00 prefix keeps
     leaf preimages disjoint from internal-node preimages.
     """
-    return hashlib.sha256(_LEAF_PREFIX + chunk_index.to_bytes(8, "little") + bytes(chunk)).digest()
+    return hashlib.sha256(_LEAF_HEAD.pack(0, chunk_index) + bytes(chunk)).digest()
 
 
 def locate(bit_index: int, params: BloomParams) -> tuple[int, int]:
@@ -112,8 +115,10 @@ class AbsenceProof:
 class BloomTree:
     """A Bloom filter plus the Merkle tree over its index-salted chunks.
 
-    Immutable once built; prove() is pure with respect to it. Rebuild after
-    any further inserts into the filter.
+    Immutable once built: ``filter`` is a read-only snapshot of the bits the
+    root commits to, so prove() is pure with respect to it. Inserts into the
+    filter the tree was built from do not reach it; build again to commit
+    them.
     """
 
     filter: BloomFilter
@@ -122,13 +127,23 @@ class BloomTree:
 
 
 def build(filt: BloomFilter) -> BloomTree:
-    """Chunk the filter, hash each chunk with its index, and build the tree.
+    """Snapshot the filter, hash each chunk with its index, and build the tree.
 
-    The root is a pure function of (params, filter bytes).
+    The tree keeps its own immutable copy of the filter bytes, so a later
+    insert into ``filt`` cannot desync the chunks from the root. The root is
+    a pure function of (params, filter bytes).
     """
-    leaves = [leaf_hash(i, filt.chunk(i)) for i in range(filt.params.chunk_count)]
+    params = filt.params
+    bits = bytes(filt.bits)
+    size = params.chunk_size
+    sha256 = hashlib.sha256
+    head = _LEAF_HEAD.pack
+    leaves = [
+        sha256(head(0, i) + bits[start : start + size]).digest()
+        for i, start in enumerate(range(0, len(bits), size))
+    ]
     tree = build_tree(leaves)
-    return BloomTree(filter=filt, tree=tree, root=tree.root)
+    return BloomTree(filter=BloomFilter(params, bits), tree=tree, root=tree.root)
 
 
 def prove(bloom_tree: BloomTree, element: bytes) -> PresenceProof | AbsenceProof:
@@ -139,18 +154,22 @@ def prove(bloom_tree: BloomTree, element: bytes) -> PresenceProof | AbsenceProof
     lowest-indexed chunk holding a zero at a required bit (a canonical
     tie-break, so proofs are deterministic).
     """
-    filt = bloom_tree.filter
-    required = _required_bits(element, filt.params)
-    for chunk_index in sorted(required):
-        chunk = filt.chunk(chunk_index)
-        if any(not _chunk_bit(chunk, local) for local in required[chunk_index]):
-            return AbsenceProof(
-                chunk_index=chunk_index,
-                chunk=chunk,
-                path=tuple(prove_single(bloom_tree.tree, chunk_index)),
-            )
-    chunk_indices = sorted(required)
-    chunks = tuple(filt.chunk(i) for i in chunk_indices)
+    params = bloom_tree.filter.params
+    bits = bloom_tree.filter.bits
+    size = params.chunk_size
+    chunk_bits = params.chunk_bits
+    positions = indices(element, params)
+    zeros = [i for i in positions if not bits[i >> 3] >> (i & 7) & 1]
+    if zeros:
+        chunk_index = min(zeros) // chunk_bits
+        start = chunk_index * size
+        return AbsenceProof(
+            chunk_index=chunk_index,
+            chunk=bits[start : start + size],
+            path=tuple(prove_single(bloom_tree.tree, chunk_index)),
+        )
+    chunk_indices = sorted({i // chunk_bits for i in positions})
+    chunks = tuple([bits[c * size : c * size + size] for c in chunk_indices])
     multiproof = tuple(prove_multi(bloom_tree.tree, chunk_indices))
     return PresenceProof(chunk_indices=tuple(chunk_indices), chunks=chunks, multiproof=multiproof)
 
@@ -164,29 +183,34 @@ def verify(
     """Check a proof against a trusted root, holding nothing but (root, params).
 
     The verifier recomputes the element's bit positions itself; proofs carry
-    no index claims about the element. Every failure returns an INVALID
-    verdict with a reason, never an exception.
+    no index claims about the element. Every failure, a non-bytes element
+    included, returns an INVALID verdict with a reason, never an exception.
     """
     if not isinstance(root, (bytes, bytearray)) or len(root) != DIGEST_SIZE:
         return Verdict.invalid("root must be a 32-byte digest")
     root = bytes(root)
-    required = _required_bits(element, params)
+    try:
+        positions = indices(element, params)
+    except TypeError:
+        return Verdict.invalid(f"element must be bytes, not {type(element).__name__}")
     if isinstance(proof, PresenceProof):
-        return _verify_presence(root, params, required, proof)
+        return _verify_presence(root, params, positions, proof)
     if isinstance(proof, AbsenceProof):
-        return _verify_absence(root, params, required, proof)
+        return _verify_absence(root, params, positions, proof)
     return Verdict.invalid(f"unknown proof type {type(proof).__name__}")
 
 
 def _verify_presence(
     root: bytes,
     params: BloomParams,
-    required: dict[int, set[int]],
+    positions: list[int],
     proof: PresenceProof,
 ) -> Verdict:
-    expected = tuple(sorted(required))
+    chunk_bits = params.chunk_bits
+    size = params.chunk_size
+    expected = sorted({i // chunk_bits for i in positions})
     try:
-        supplied = tuple(proof.chunk_indices)
+        supplied = list(proof.chunk_indices)
         chunks = tuple(proof.chunks)
         multiproof = list(proof.multiproof)
     except TypeError:
@@ -197,12 +221,16 @@ def _verify_presence(
     if len(chunks) != len(expected):
         return Verdict.invalid("chunk count does not match chunk index count")
     for chunk_index, chunk in zip(expected, chunks):
-        if not isinstance(chunk, (bytes, bytearray)) or len(chunk) != params.chunk_size:
-            return Verdict.invalid(f"chunk {chunk_index} is not exactly {params.chunk_size} bytes")
-        for local in required[chunk_index]:
-            if not _chunk_bit(chunk, local):
-                return Verdict.invalid(f"required bit {local} of chunk {chunk_index} is zero")
-    entries = [(chunk_index, leaf_hash(chunk_index, chunk)) for chunk_index, chunk in zip(expected, chunks)]
+        if not isinstance(chunk, (bytes, bytearray)) or len(chunk) != size:
+            return Verdict.invalid(f"chunk {chunk_index} is not exactly {size} bytes")
+    by_index = dict(zip(expected, chunks))
+    zeros = [i for i in positions if not by_index[i // chunk_bits][(i >> 3) % size] >> (i & 7) & 1]
+    if zeros:
+        chunk_index, local = divmod(min(zeros), chunk_bits)
+        return Verdict.invalid(f"required bit {local} of chunk {chunk_index} is zero")
+    sha256 = hashlib.sha256
+    head = _LEAF_HEAD.pack
+    entries = [(c, sha256(head(0, c) + chunk).digest()) for c, chunk in zip(expected, chunks)]
     if not verify_multi(root, entries, params.chunk_count, multiproof):
         return Verdict.invalid("multiproof does not reconstruct the root")
     return Verdict.maybe_present()
@@ -211,18 +239,19 @@ def _verify_presence(
 def _verify_absence(
     root: bytes,
     params: BloomParams,
-    required: dict[int, set[int]],
+    positions: list[int],
     proof: AbsenceProof,
 ) -> Verdict:
     chunk_index = proof.chunk_index
     if isinstance(chunk_index, bool) or not isinstance(chunk_index, int):
         return Verdict.invalid("chunk index must be an integer")
-    if chunk_index not in required:
+    required = [local for c, local in (locate(i, params) for i in positions) if c == chunk_index]
+    if not required:
         return Verdict.invalid("chunk is not one the element maps into")
     chunk = proof.chunk
     if not isinstance(chunk, (bytes, bytearray)) or len(chunk) != params.chunk_size:
         return Verdict.invalid(f"chunk is not exactly {params.chunk_size} bytes")
-    if all(_chunk_bit(chunk, local) for local in required[chunk_index]):
+    if all((chunk[local >> 3] >> (local & 7)) & 1 for local in required):
         return Verdict.invalid("every required bit in the supplied chunk is set")
     try:
         path = list(proof.path)
@@ -231,16 +260,3 @@ def _verify_absence(
     if not verify_single(root, leaf_hash(chunk_index, chunk), chunk_index, params.chunk_count, path):
         return Verdict.invalid("path does not reconstruct the root")
     return Verdict.definitely_absent()
-
-
-def _required_bits(element: bytes, params: BloomParams) -> dict[int, set[int]]:
-    """chunk_index -> set of local bit indices the element needs set."""
-    required: dict[int, set[int]] = {}
-    for bit_index in indices(element, params):
-        chunk_index, local = locate(bit_index, params)
-        required.setdefault(chunk_index, set()).add(local)
-    return required
-
-
-def _chunk_bit(chunk: bytes, local: int) -> int:
-    return (chunk[local >> 3] >> (local & 7)) & 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bloomtree.bloom import BloomFilter, BloomParams, derive_params, fpr, indices
+from bloomtree.bloom import MAX_K, BloomFilter, BloomParams, derive_params, fpr, indices
 
 # Geometry small enough for exhaustive-ish property runs.
 SMALL_PARAMS = BloomParams(m=1024, k=5, chunk_size=8)
@@ -80,6 +80,18 @@ class TestParamsValidation:
     def test_rejects_zero_k(self):
         with pytest.raises(ValueError):
             BloomParams(m=256, k=0, chunk_size=32)
+
+    def test_k_is_bounded_by_max_k(self):
+        assert BloomParams(m=256, k=MAX_K, chunk_size=32).k == MAX_K
+        for k in (MAX_K + 1, (1 << 32) - 1):
+            with pytest.raises(ValueError):
+                BloomParams(m=256, k=k, chunk_size=32)
+
+    def test_derive_params_clamps_k(self):
+        # one element in the largest single chunk: the unclamped optimum is ~363,000
+        params = derive_params(1, 0.5, 65536)
+        assert params.chunk_count == 1
+        assert params.k == MAX_K
 
     def test_depth_and_byte_length(self):
         params = BloomParams(m=2048, k=3, chunk_size=32)

@@ -1,5 +1,6 @@
 import random
 import struct
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,16 @@ class TestFilterCodec:
         blob = codec.FILTER_MAGIC + bytes([codec.VERSION]) + struct.pack("<QII", m, k, chunk_size)
         with pytest.raises(codec.InvalidField):
             codec.decode_filter(blob)
+
+    def test_huge_k_is_rejected_quickly(self):
+        # k = 2^32 - 1 would make every index list four billion entries long
+        header = struct.pack("<QII", 64, (1 << 32) - 1, 8)
+        started = time.monotonic()
+        with pytest.raises(codec.InvalidField):
+            codec.decode_filter(codec.FILTER_MAGIC + bytes([codec.VERSION]) + header + GOLDEN_BITS + bytes(32))
+        with pytest.raises(codec.InvalidField):
+            codec.decode_proof(codec.PROOF_MAGIC + bytes([codec.VERSION, codec.ABSENCE_KIND]) + header)
+        assert time.monotonic() - started < 1.0
 
     def test_error_taxonomy_is_distinguishable(self):
         assert issubclass(codec.BadMagic, codec.CodecError)

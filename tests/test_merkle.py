@@ -26,7 +26,7 @@ def leaves_for(count, seed=0):
 
 
 def entries_for(tree: MerkleTree, subset):
-    return [(i, tree.levels[0][i]) for i in subset]
+    return [(i, tree.node(0, i)) for i in subset]
 
 
 def flip_byte(digest: bytes, offset: int = 0) -> bytes:
@@ -76,18 +76,27 @@ class TestBuildTree:
 
     def test_level_shape(self):
         tree = build_tree(leaves_for(8))
-        assert [len(level) for level in tree.levels] == [8, 4, 2, 1]
+        assert [len(level) for level in tree.levels] == [8 * 32, 4 * 32, 2 * 32, 32]
+        for t in range(1, 4):
+            for i in range(8 >> t):
+                assert tree.node(t, i) == node_hash(tree.node(t - 1, 2 * i), tree.node(t - 1, 2 * i + 1))
+
+    def test_node_out_of_range(self):
+        tree = build_tree(leaves_for(4))
+        for level, index in ((0, 4), (0, -1), (1, 2), (2, 1)):
+            with pytest.raises(IndexError):
+                tree.node(level, index)
 
 
 class TestSingleProof:
     def test_single_leaf_empty_path(self):
         tree = build_tree(leaves_for(1))
         assert prove_single(tree, 0) == []
-        assert verify_single(tree.root, tree.levels[0][0], 0, 1, [])
+        assert verify_single(tree.root, tree.node(0, 0), 0, 1, [])
 
     def test_four_leaf_sibling_walk(self):
         tree = build_tree(leaves_for(4))
-        assert prove_single(tree, 3) == [tree.levels[0][2], tree.levels[1][0]]
+        assert prove_single(tree, 3) == [tree.node(0, 2), tree.node(1, 0)]
 
     def test_eight_leaf_path_length(self):
         tree = build_tree(leaves_for(8))
@@ -103,7 +112,7 @@ class TestSingleProof:
         tree = build_tree(leaves_for(count, seed=count))
         for i in range(count):
             proof = prove_single(tree, i)
-            assert verify_single(tree.root, tree.levels[0][i], i, count, proof)
+            assert verify_single(tree.root, tree.node(0, i), i, count, proof)
 
     def test_mutated_path_digest_fails(self):
         tree = build_tree(leaves_for(16, seed=3))
@@ -113,23 +122,23 @@ class TestSingleProof:
             proof = prove_single(tree, i)
             level = rng.randrange(len(proof))
             proof[level] = flip_byte(proof[level], rng.randrange(32))
-            assert not verify_single(tree.root, tree.levels[0][i], i, 16, proof)
+            assert not verify_single(tree.root, tree.node(0, i), i, 16, proof)
 
     def test_wrong_index_fails(self):
         tree = build_tree(leaves_for(16, seed=4))
         proof = prove_single(tree, 5)
-        assert not verify_single(tree.root, tree.levels[0][5], 6, 16, proof)
+        assert not verify_single(tree.root, tree.node(0, 5), 6, 16, proof)
 
     def test_wrong_proof_length_is_false_not_raise(self):
         tree = build_tree(leaves_for(4))
         proof = prove_single(tree, 1)
-        assert not verify_single(tree.root, tree.levels[0][1], 1, 4, proof[:1])
-        assert not verify_single(tree.root, tree.levels[0][1], 1, 4, proof + [bytes(32)])
+        assert not verify_single(tree.root, tree.node(0, 1), 1, 4, proof[:1])
+        assert not verify_single(tree.root, tree.node(0, 1), 1, 4, proof + [bytes(32)])
 
     def test_garbage_inputs_are_false(self):
         tree = build_tree(leaves_for(4))
         proof = prove_single(tree, 0)
-        leaf = tree.levels[0][0]
+        leaf = tree.node(0, 0)
         assert not verify_single(tree.root, leaf, 0, 5, proof)  # not a power of two
         assert not verify_single(tree.root, leaf, -1, 4, proof)
         assert not verify_single(b"short", leaf, 0, 4, proof)
@@ -148,17 +157,17 @@ class TestMultiProof:
         tree = build_tree(leaves_for(8, seed=8))
         proof = prove_multi(tree, [0, 3, 6])
         assert proof == [
-            tree.levels[0][1],
-            tree.levels[0][2],
-            tree.levels[0][7],
-            tree.levels[1][2],
+            tree.node(0, 1),
+            tree.node(0, 2),
+            tree.node(0, 7),
+            tree.node(1, 2),
         ]
         singles = sum(len(prove_single(tree, i)) for i in (0, 3, 6))
         assert singles == 9
 
     def test_adjacent_pair_skips_leaf_level(self):
         tree = build_tree(leaves_for(8, seed=9))
-        assert prove_multi(tree, [0, 1]) == [tree.levels[1][1], tree.levels[2][1]]
+        assert prove_multi(tree, [0, 1]) == [tree.node(1, 1), tree.node(2, 1)]
 
     def test_single_index_equals_single_proof(self):
         tree = build_tree(leaves_for(16, seed=10))
@@ -247,10 +256,9 @@ class TestMultiProof:
     def test_single_pass_iterables_are_materialized(self):
         # generators must behave exactly like lists, not silently verify less
         tree = build_tree(leaves_for(8, seed=36))
-        leaves = tree.levels[0]
         proof = prove_multi(tree, (i for i in (0, 3, 6)))
         assert proof == prove_multi(tree, [0, 3, 6])
-        assert verify_multi(tree.root, ((i, leaves[i]) for i in (0, 3, 6)), 8, proof)
+        assert verify_multi(tree.root, ((i, tree.node(0, i)) for i in (0, 3, 6)), 8, proof)
         assert not verify_multi(tree.root, iter([]), 8, [])
 
     @given(

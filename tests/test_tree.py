@@ -91,6 +91,27 @@ class TestBuild:
         filt.insert(b"lonely")
         assert build(filt).root == leaf_hash(0, bytes(filt.bits))
 
+    def test_insert_after_build_leaves_the_tree_unchanged(self):
+        bloom_tree, inserted, rng = populated_tree(seed=21)
+        filt = BloomFilter(SMALL, bytearray(bloom_tree.filter.bits))
+        built = build(filt)
+        root = built.root
+        probes = inserted[:5] + [rng.randbytes(13) for _ in range(20)]
+        proofs = [prove(built, element) for element in probes]
+        late = [rng.randbytes(11) for _ in range(50)]
+        for element in late:
+            filt.insert(element)
+        assert bytes(filt.bits) != bytes(built.filter.bits)
+        assert build(filt).root != root
+        assert built.root == root
+        assert bytes(built.filter.bits) == bytes(bloom_tree.filter.bits)
+        assert build(built.filter).root == root
+        for element, proof in zip(probes, proofs):
+            assert prove(built, element) == proof
+            assert verify(root, SMALL, element, proof).is_valid
+        with pytest.raises(TypeError):
+            built.filter.insert(late[0])  # the committed snapshot is read-only
+
     def test_root_matches_hand_built_tree(self):
         bloom_tree, _, _ = populated_tree(seed=7)
         leaves = [leaf_hash(i, bloom_tree.filter.chunk(i)) for i in range(SMALL.chunk_count)]
@@ -294,6 +315,14 @@ class TestVerify:
         verdict = verify(bloom_tree.root, SMALL, b"anything", junk)
         assert verdict.kind is VerdictKind.INVALID
         assert verdict.reason
+
+    @pytest.mark.parametrize("element", ["text", None, 7, 1.5, ["b"]])
+    def test_non_bytes_element_is_invalid_not_raise(self, element):
+        bloom_tree, inserted, _ = populated_tree(seed=22)
+        proof = prove(bloom_tree, inserted[0])
+        verdict = verify(bloom_tree.root, SMALL, element, proof)
+        assert verdict.kind is VerdictKind.INVALID
+        assert "element must be bytes" in verdict.reason
 
     def test_proof_size_formulas(self):
         bloom_tree, inserted, rng = populated_tree(seed=19)
