@@ -8,6 +8,7 @@ false-positive rate below the requested target.
 
 import hashlib
 import math
+import struct
 from dataclasses import dataclass
 
 MIN_CHUNK_SIZE = 1
@@ -20,6 +21,7 @@ MAX_K = 1 << 16
 
 _LN2 = math.log(2)
 _U64_MASK = (1 << 64) - 1
+_H1_H2 = struct.Struct("<QQ")
 
 
 @dataclass(frozen=True)
@@ -69,22 +71,27 @@ class BloomParams:
         return self.m // 8
 
 
-def derive_params(n: int, p: float, chunk_size: int) -> BloomParams:
-    """Size a filter for ``n`` expected elements at target false-positive rate ``p``.
-
-    The raw optimal bit count ceil(n * -ln(p) / ln(2)^2) is padded up to the
-    next power-of-two multiple of the chunk bit width, and k is chosen
-    near-optimal for the padded size: max(1, round(m/n * ln 2)), clamped to
-    MAX_K.
-    """
+def optimal_bit_count(n: int, p: float) -> int:
+    """Unpadded optimal bit count ceil(n * -ln(p) / ln(2)^2) for ``n`` elements at rate ``p``."""
     if n < 1:
         raise ValueError(f"expected element count must be >= 1, got {n}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"target false-positive rate must be in (0, 1), got {p}")
+    return math.ceil(n * -math.log(p) / _LN2**2)
+
+
+def derive_params(n: int, p: float, chunk_size: int) -> BloomParams:
+    """Size a filter for ``n`` expected elements at target false-positive rate ``p``.
+
+    The raw optimal bit count (:func:`optimal_bit_count`) is padded up to the
+    next power-of-two multiple of the chunk bit width, and k is chosen
+    near-optimal for the padded size: max(1, round(m/n * ln 2)), clamped to
+    MAX_K.
+    """
+    m_raw = optimal_bit_count(n, p)
     if not MIN_CHUNK_SIZE <= chunk_size <= MAX_CHUNK_SIZE:
         raise ValueError(f"chunk_size must be in [{MIN_CHUNK_SIZE}, {MAX_CHUNK_SIZE}], got {chunk_size}")
 
-    m_raw = math.ceil(n * -math.log(p) / _LN2**2)
     chunk_bits = chunk_size * 8
     count = 1
     while count * chunk_bits < m_raw:
@@ -122,12 +129,21 @@ def indices(element: bytes, params: BloomParams) -> list[int]:
     digest bytes 0..8 and h2 the one from bytes 8..16 forced odd. Forcing h2
     odd avoids the degenerate case where all k indices coincide. Duplicates
     are possible and preserved.
+
+    When m is a power of two it divides 2^64, so the same indices come from
+    (h1 mod m + i*(h2 mod m)) mod m, which stays in small ints. h2 is odd
+    and m >= 8, so the step h2 mod m is at least 1.
     """
-    digest = hashlib.sha256(element).digest()
-    h1 = int.from_bytes(digest[0:8], "little")
-    h2 = int.from_bytes(digest[8:16], "little") | 1
+    h1, h2 = _H1_H2.unpack_from(hashlib.sha256(element).digest())
+    h2 |= 1
     m = params.m
-    return [((h1 + i * h2) & _U64_MASK) % m for i in range(params.k)]
+    k = params.k
+    if m & (m - 1):
+        return [((h1 + i * h2) & _U64_MASK) % m for i in range(k)]
+    low = m - 1
+    start = h1 & low
+    step = h2 & low
+    return [x & low for x in range(start, start + k * step, step)]
 
 
 @dataclass
@@ -174,10 +190,14 @@ class BloomFilter:
 
     def bit(self, index: int) -> int:
         """Value (0 or 1) of the bit at a global bit index."""
+        if not 0 <= index < self.params.m:
+            raise IndexError(f"bit {index} out of range for m={self.params.m}")
         return (self.bits[index >> 3] >> (index & 7)) & 1
 
     def chunk(self, chunk_index: int) -> bytes:
         """Raw bytes of one chunk of the bit array."""
+        if not 0 <= chunk_index < self.params.chunk_count:
+            raise IndexError(f"chunk {chunk_index} out of range for {self.params.chunk_count} chunks")
         size = self.params.chunk_size
         start = chunk_index * size
         return bytes(self.bits[start : start + size])

@@ -8,11 +8,10 @@ contents with --element-file); the library itself accepts arbitrary bytes.
 """
 
 import argparse
-import math
 import sys
 
 from . import codec
-from .bloom import BloomFilter, derive_params, fpr
+from .bloom import BloomFilter, derive_params, fpr, optimal_bit_count
 from .experiment import (
     DEFAULT_CHUNK_SIZES,
     DEFAULT_FPRS,
@@ -114,8 +113,7 @@ def _element_bytes(args) -> bytes:
 
 def _cmd_params(args) -> int:
     params = derive_params(args.n, args.fpr, args.chunk_size)
-    m_raw = math.ceil(args.n * -math.log(args.fpr) / math.log(2) ** 2)
-    print(f"m_raw: {m_raw}")
+    print(f"m_raw: {optimal_bit_count(args.n, args.fpr)}")
     print(f"m: {params.m}")
     print(f"k: {params.k}")
     print(f"chunks: {params.chunk_count}")

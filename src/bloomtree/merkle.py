@@ -114,7 +114,7 @@ def verify_single(
     """
     if not _is_power_of_two(leaf_count):
         return False
-    if not isinstance(leaf_index, int) or not 0 <= leaf_index < leaf_count:
+    if not isinstance(leaf_index, int) or isinstance(leaf_index, bool) or not 0 <= leaf_index < leaf_count:
         return False
     if not _is_digest(root) or not _is_digest(leaf):
         return False

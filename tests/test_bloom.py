@@ -4,15 +4,42 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bloomtree.bloom import MAX_K, BloomFilter, BloomParams, derive_params, fpr, indices
+from bloomtree.bloom import (
+    MAX_CHUNK_SIZE,
+    MAX_K,
+    BloomFilter,
+    BloomParams,
+    derive_params,
+    fpr,
+    indices,
+    optimal_bit_count,
+)
 
 # Geometry small enough for exhaustive-ish property runs.
 SMALL_PARAMS = BloomParams(m=1024, k=5, chunk_size=8)
 
 elements = st.binary(max_size=64)
+
+
+def reference_indices(element: bytes, params: BloomParams) -> list[int]:
+    """The double-hashing formula as specified, in 64-bit big-int arithmetic."""
+    digest = hashlib.sha256(element).digest()
+    h1 = int.from_bytes(digest[0:8], "little")
+    h2 = int.from_bytes(digest[8:16], "little") | 1
+    return [((h1 + i * h2) % 2**64) % params.m for i in range(params.k)]
+
+
+@st.composite
+def geometries(draw, chunk_sizes):
+    """BloomParams over the given chunk sizes, any valid chunk count, k up to MAX_K."""
+    chunk_size = draw(chunk_sizes)
+    # the largest depth with (chunk_size * 8) << depth < 2^64
+    depth = draw(st.integers(min_value=0, max_value=64 - (chunk_size * 8).bit_length()))
+    k = draw(st.one_of(st.integers(min_value=1, max_value=64), st.just(MAX_K)))
+    return BloomParams(m=chunk_size * 8 << depth, k=k, chunk_size=chunk_size)
 
 
 class TestDeriveParams:
@@ -23,6 +50,12 @@ class TestDeriveParams:
         assert params.k == 9
         assert params.chunk_count == 512
         assert math.ceil(10000 * -math.log(0.01) / math.log(2) ** 2) == 95851
+        assert optimal_bit_count(10000, 0.01) == 95851
+
+    @pytest.mark.parametrize("n, p", [(0, 0.01), (10, 0.0), (10, 1.0)])
+    def test_optimal_bit_count_rejects_bad_input(self, n, p):
+        with pytest.raises(ValueError):
+            optimal_bit_count(n, p)
 
     def test_tiny_sizing(self):
         # m_raw = ceil(1/ln 2) = 2, padded to one 8-bit chunk, k = round(8 ln 2) = 6
@@ -149,14 +182,20 @@ class TestIndices:
         assert len(out) == SMALL_PARAMS.k
         assert all(0 <= i < SMALL_PARAMS.m for i in out)
 
-    def test_matches_double_hash_formula(self):
-        params = BloomParams(m=4096, k=10, chunk_size=8)
-        element = b"formula check"
-        digest = hashlib.sha256(element).digest()
-        h1 = int.from_bytes(digest[0:8], "little")
-        h2 = int.from_bytes(digest[8:16], "little") | 1
-        expected = [((h1 + i * h2) % 2**64) % 4096 for i in range(10)]
-        assert indices(element, params) == expected
+    # the examples pin a mid-size filter, the largest valid m (2^63) with k = MAX_K,
+    # and one 8-bit filter whose 40 indices must repeat, in derivation order
+    @example(element=b"formula check", params=BloomParams(m=4096, k=10, chunk_size=8))
+    @example(element=b"formula check", params=BloomParams(m=2**63, k=MAX_K, chunk_size=MAX_CHUNK_SIZE))
+    @example(element=b"dup", params=BloomParams(m=8, k=40, chunk_size=1))
+    @given(element=elements, params=geometries(st.sampled_from([1, 8, 32, 64, 1024, MAX_CHUNK_SIZE])))
+    def test_matches_double_hash_formula(self, element, params):
+        assert indices(element, params) == reference_indices(element, params)
+
+    @example(element=b"formula check", params=BloomParams(m=24 << 20, k=MAX_K, chunk_size=3))
+    @example(element=b"formula check", params=BloomParams(m=192 << 56, k=12, chunk_size=24))
+    @given(element=elements, params=geometries(st.sampled_from([3, 24, 40, 1000, MAX_CHUNK_SIZE - 1])))
+    def test_matches_double_hash_formula_non_power_of_two(self, element, params):
+        assert indices(element, params) == reference_indices(element, params)
 
 
 class TestFilter:
@@ -202,6 +241,18 @@ class TestFilter:
         assert filt.bit(2) == 1
         assert filt.bit(1) == 0
         assert filt.bit(10) == 0
+
+    @pytest.mark.parametrize("index", [-1, -64, 64, 65])
+    def test_bit_out_of_range_raises(self, index):
+        filt = BloomFilter(BloomParams(m=64, k=1, chunk_size=8), bytearray([0xFF] * 8))
+        with pytest.raises(IndexError):
+            filt.bit(index)
+
+    @pytest.mark.parametrize("index", [-1, -2, 4, 5])
+    def test_chunk_out_of_range_raises(self, index):
+        filt = BloomFilter(BloomParams(m=4 * 16, k=1, chunk_size=2), bytearray(range(8)))
+        with pytest.raises(IndexError):
+            filt.chunk(index)
 
     @given(items=st.lists(elements, max_size=40))
     def test_no_false_negatives(self, items):

@@ -145,6 +145,15 @@ class TestSingleProof:
         assert not verify_single(tree.root, b"short", 0, 4, proof)
         assert not verify_single(tree.root, leaf, 0, 4, [b"short", b"x"])
 
+    def test_bool_leaf_index_is_false(self):
+        # True == 1, so without the check a valid proof for leaf 1 would pass
+        tree = build_tree(leaves_for(4))
+        proof = prove_single(tree, 1)
+        leaf = tree.node(0, 1)
+        assert verify_single(tree.root, leaf, 1, 4, proof)
+        assert not verify_single(tree.root, leaf, True, 4, proof)
+        assert not verify_single(tree.root, tree.node(0, 0), False, 4, prove_single(tree, 0))
+
 
 class TestMultiProof:
     def test_all_leaves_need_no_proof(self):
