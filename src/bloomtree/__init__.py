@@ -22,16 +22,6 @@ from .codec import (
     encode_proof,
 )
 from .experiment import ExperimentConfig, ExperimentRow, run_cell, run_grid
-from .merkle import (
-    DIGEST_SIZE,
-    MerkleTree,
-    build_tree,
-    node_hash,
-    prove_multi,
-    prove_single,
-    verify_multi,
-    verify_single,
-)
 from .tree import (
     AbsenceProof,
     BloomTree,
@@ -39,8 +29,6 @@ from .tree import (
     Verdict,
     VerdictKind,
     build,
-    leaf_hash,
-    locate,
     prove,
     verify,
 )
@@ -54,11 +42,9 @@ __all__ = [
     "BloomParams",
     "BloomTree",
     "CodecError",
-    "DIGEST_SIZE",
     "ExperimentConfig",
     "ExperimentRow",
     "InvalidField",
-    "MerkleTree",
     "PresenceProof",
     "RootMismatch",
     "TrailingBytes",
@@ -67,7 +53,6 @@ __all__ = [
     "Verdict",
     "VerdictKind",
     "build",
-    "build_tree",
     "decode_filter",
     "decode_proof",
     "derive_params",
@@ -75,15 +60,8 @@ __all__ = [
     "encode_proof",
     "fpr",
     "indices",
-    "leaf_hash",
-    "locate",
-    "node_hash",
     "prove",
-    "prove_multi",
-    "prove_single",
     "run_cell",
     "run_grid",
     "verify",
-    "verify_multi",
-    "verify_single",
 ]

@@ -1,5 +1,5 @@
-"""Binary Merkle tree over 32-byte digests: single proofs and an index-free
-multiproof.
+"""Binary Merkle tree over 32-byte digests and one proof algorithm, an
+index-free multiproof.
 
 Internal nodes are hashed with a 0x01 domain prefix (leaves are committed
 elsewhere with 0x00) so a leaf preimage can never be mistaken for a node
@@ -11,10 +11,13 @@ positions level by level in increasing position order, and whenever the
 sibling of a known node is itself unknown, the prover appends its digest to
 the proof and the verifier consumes the next digest from the front. Emission
 is therefore strictly level-by-level, left to right, and verification
-succeeds only if the proof is consumed exactly.
+succeeds only if the proof is consumed exactly. Once the frontier has
+narrowed to one node, the rest of the schedule is that node's sibling path,
+so a one-leaf multiproof is the plain bottom-up sibling path.
 """
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +27,7 @@ Digest = bytes
 
 _NODE_PREFIX = b"\x01"
 _DIGEST_TYPES = {bytes, bytearray}
+_INDEX_TYPES = {int}
 
 
 def node_hash(left: Digest, right: Digest) -> Digest:
@@ -87,16 +91,8 @@ def build_tree(leaves: Sequence[Digest]) -> MerkleTree:
 
 
 def prove_single(tree: MerkleTree, leaf_index: int) -> list[Digest]:
-    """Sibling path from one leaf to the root, bottom-up (L digests)."""
-    if not 0 <= leaf_index < tree.leaf_count:
-        raise ValueError(f"leaf index {leaf_index} out of range for {tree.leaf_count} leaves")
-    path = []
-    pos = leaf_index
-    for level in tree.levels[:-1]:
-        start = (pos ^ 1) * DIGEST_SIZE
-        path.append(level[start : start + DIGEST_SIZE])
-        pos >>= 1
-    return path
+    """Sibling path from one leaf to the root, bottom-up: prove_multi(tree, [leaf_index])."""
+    return prove_multi(tree, [leaf_index])
 
 
 def verify_single(
@@ -106,47 +102,31 @@ def verify_single(
     leaf_count: int,
     proof: Sequence[Digest],
 ) -> bool:
-    """Fold a leaf up its sibling path and compare against the root.
-
-    Bit t of leaf_index decides placement at level t: 1 means the running
-    digest is the right child. Returns False (never raises) on any
-    malformed input, including a proof of the wrong length.
-    """
-    if not _is_power_of_two(leaf_count):
-        return False
-    if not isinstance(leaf_index, int) or isinstance(leaf_index, bool) or not 0 <= leaf_index < leaf_count:
-        return False
-    if not _is_digest(root) or not _is_digest(leaf):
-        return False
-    if len(proof) != leaf_count.bit_length() - 1:
-        return False
-    if not _all_digests(proof):
-        return False
-    sha256 = hashlib.sha256
-    node = leaf
-    pos = leaf_index
-    for sibling in proof:
-        node = sha256(_NODE_PREFIX + sibling + node if pos & 1 else _NODE_PREFIX + node + sibling).digest()
-        pos >>= 1
-    return node == root
+    """verify_multi for the one entry (leaf_index, leaf)."""
+    return verify_multi(root, [(leaf_index, leaf)], leaf_count, proof)
 
 
 def prove_multi(tree: MerkleTree, leaf_indices: Sequence[int]) -> list[Digest]:
     """One proof covering several leaves, sharing interior digests.
 
-    leaf_indices must be strictly increasing and in range. The proof holds
-    only the sibling digests the verifier cannot recompute, in the canonical
-    schedule order described in the module docstring. Requesting all leaves
-    yields an empty proof; requesting one leaf matches prove_single.
+    leaf_indices must be strictly increasing, in range and of type int. The
+    proof holds only the sibling digests the verifier cannot recompute, in
+    the canonical schedule order described in the module docstring.
+    Requesting all leaves yields an empty proof; requesting one leaf yields
+    its sibling path, one digest per level.
     """
     known = list(leaf_indices)
-    _check_strictly_increasing(known, tree.leaf_count)
+    if not _are_leaf_indices(known, tree.leaf_count):
+        raise ValueError(f"leaf indices must be strictly increasing ints in [0, {tree.leaf_count})")
     size = DIGEST_SIZE
+    levels = tree.levels
     proof = []
     send, unsend = proof.append, proof.pop
-    for level in tree.levels[:-1]:
+    t = 0
+    while len(known) > 1:
         parents = []
         last = -1
+        level = levels[t]
         for pos in known:
             parent = pos >> 1
             if parent == last:
@@ -157,6 +137,12 @@ def prove_multi(tree: MerkleTree, leaf_indices: Sequence[int]) -> list[Digest]:
                 parents.append(parent)
                 last = parent
         known = parents
+        t += 1
+    pos = known[0]
+    for level in levels[t:-1]:
+        start = (pos ^ 1) * size
+        send(level[start : start + size])
+        pos >>= 1
     return proof
 
 
@@ -169,33 +155,28 @@ def verify_multi(
     """Replay the prove_multi schedule, consuming proof digests in order.
 
     leaf_entries are (leaf_index, digest) pairs sorted by strictly
-    increasing index. True iff the reconstructed root matches and the proof
-    is consumed exactly: underflow, leftovers, duplicate or out-of-range
-    indices all yield False.
+    increasing index, each index of type int (a bool is not). True iff the
+    reconstructed root matches and the proof is consumed exactly: underflow,
+    leftovers, duplicate or out-of-range indices all yield False, as does any
+    other malformed input.
     """
     if not _is_power_of_two(leaf_count) or not _is_digest(root):
         return False
     try:
-        entries = [(index, digest) for index, digest in leaf_entries]
+        positions, nodes = zip(*leaf_entries, strict=True)
         proof = list(proof)
     except (TypeError, ValueError):
         return False
-    if not entries:
-        return False
-    positions = [index for index, _ in entries]
-    nodes = [digest for _, digest in entries]
-    try:
-        _check_strictly_increasing(positions, leaf_count)
-    except ValueError:
-        return False
-    if not _all_digests(nodes) or not _all_digests(proof):
+    if not _are_leaf_indices(positions, leaf_count) or not _all_digests((*nodes, *proof)):
         return False
 
     sha256 = hashlib.sha256
     prefix = _NODE_PREFIX
     available = len(proof)
     cursor = 0
-    for _ in range(leaf_count.bit_length() - 1):
+    levels_left = leaf_count.bit_length() - 1
+    # Distinct in-range positions narrow to one node by the root level at the latest.
+    while len(positions) > 1:
         count = len(positions)
         parents = []
         digests = []
@@ -216,9 +197,15 @@ def verify_multi(
             parents.append(pos >> 1)
         positions = parents
         nodes = digests
-    if cursor != available:
-        return False  # leftover digests
-    return nodes[0] == root
+        levels_left -= 1
+    if available - cursor != levels_left:
+        return False  # the rest of the proof must be exactly one sibling per level left
+    pos = positions[0]
+    node = nodes[0]
+    for sibling in proof[cursor:]:
+        node = sha256(prefix + sibling + node if pos & 1 else prefix + node + sibling).digest()
+        pos >>= 1
+    return node == root
 
 
 def _is_power_of_two(value) -> bool:
@@ -237,15 +224,14 @@ def _all_digests(values: Sequence) -> bool:
     return set(map(len, values)) <= {DIGEST_SIZE}
 
 
-def _check_strictly_increasing(indices: Sequence[int], leaf_count: int) -> None:
-    if len(indices) == 0:
-        raise ValueError("at least one leaf index is required")
-    previous = -1
-    for index in indices:
-        if not isinstance(index, int) or isinstance(index, bool):
-            raise ValueError(f"leaf indices must be integers, got {index!r}")
-        if index <= previous:
-            raise ValueError("leaf indices must be strictly increasing")
-        previous = index
-    if previous >= leaf_count:
-        raise ValueError(f"leaf index {previous} out of range for {leaf_count} leaves")
+def _are_leaf_indices(indices: Sequence[int], leaf_count: int) -> bool:
+    """A non-empty, strictly increasing run of exact ints (no bools) in [0, leaf_count)."""
+    if len(indices) == 1:  # every absence proof: skip the set and the slice
+        index = indices[0]
+        return type(index) is int and 0 <= index < leaf_count
+    return (
+        set(map(type, indices)) == _INDEX_TYPES  # also False when empty
+        and 0 <= indices[0]
+        and indices[-1] < leaf_count
+        and all(map(operator.lt, indices, indices[1:]))
+    )

@@ -4,9 +4,10 @@ Merkle root.
 A presence proof ships the chunks an element's bits land in plus one
 multiproof; it can only ever show that the element *might* have been
 inserted. An absence proof ships a single chunk in which a required bit is
-zero plus an ordinary sibling path; it shows the element definitely was
-never inserted. Each chunk is hashed together with its index, so a valid
-proof for one chunk can never be passed off as a proof for another.
+zero plus that chunk's sibling path, which is the one-leaf multiproof; it
+shows the element definitely was never inserted. Each chunk is hashed
+together with its index, so a valid proof for one chunk can never be passed
+off as a proof for another.
 """
 
 import enum
@@ -21,9 +22,7 @@ from .merkle import (
     MerkleTree,
     build_tree,
     prove_multi,
-    prove_single,
     verify_multi,
-    verify_single,
 )
 
 # The head of a leaf preimage, 0x00 || chunk index as 8-byte little-endian,
@@ -104,7 +103,10 @@ class PresenceProof:
 
 @dataclass(frozen=True)
 class AbsenceProof:
-    """One chunk holding a zero at a required bit, plus its sibling path."""
+    """One chunk holding a zero at a required bit, plus its sibling path.
+
+    The path is the one-leaf multiproof of that chunk: one digest per level.
+    """
 
     chunk_index: int
     chunk: bytes
@@ -123,7 +125,11 @@ class BloomTree:
 
     filter: BloomFilter
     tree: MerkleTree
-    root: Digest
+
+    @property
+    def root(self) -> Digest:
+        """The Merkle root over the filter's chunks, read from the tree itself."""
+        return self.tree.root
 
 
 def build(filt: BloomFilter) -> BloomTree:
@@ -143,7 +149,7 @@ def build(filt: BloomFilter) -> BloomTree:
         for i, start in enumerate(range(0, len(bits), size))
     ]
     tree = build_tree(leaves)
-    return BloomTree(filter=BloomFilter(params, bits), tree=tree, root=tree.root)
+    return BloomTree(filter=BloomFilter(params, bits), tree=tree)
 
 
 def prove(bloom_tree: BloomTree, element: bytes) -> PresenceProof | AbsenceProof:
@@ -166,7 +172,7 @@ def prove(bloom_tree: BloomTree, element: bytes) -> PresenceProof | AbsenceProof
         return AbsenceProof(
             chunk_index=chunk_index,
             chunk=bits[start : start + size],
-            path=tuple(prove_single(bloom_tree.tree, chunk_index)),
+            path=tuple(prove_multi(bloom_tree.tree, [chunk_index])),
         )
     chunk_indices = sorted({i // chunk_bits for i in positions})
     chunks = tuple([bits[c * size : c * size + size] for c in chunk_indices])
@@ -193,70 +199,60 @@ def verify(
         positions = indices(element, params)
     except TypeError:
         return Verdict.invalid(f"element must be bytes, not {type(element).__name__}")
-    if isinstance(proof, PresenceProof):
-        return _verify_presence(root, params, positions, proof)
-    if isinstance(proof, AbsenceProof):
-        return _verify_absence(root, params, positions, proof)
-    return Verdict.invalid(f"unknown proof type {type(proof).__name__}")
-
-
-def _verify_presence(
-    root: bytes,
-    params: BloomParams,
-    positions: list[int],
-    proof: PresenceProof,
-) -> Verdict:
     chunk_bits = params.chunk_bits
+    # The two kinds differ only in which chunks the proof must claim and in
+    # whether a required bit may be zero. Each yields ``claimed`` (chunk index
+    # -> chunk) and the positions those chunks must show; both then hash the
+    # chunks as leaves and check them with one multiproof.
+    if isinstance(proof, PresenceProof):
+        try:
+            supplied = list(proof.chunk_indices)
+            chunks = tuple(proof.chunks)
+            path = list(proof.multiproof)
+        except TypeError:
+            return Verdict.invalid("malformed presence proof fields")
+        expected = sorted({i // chunk_bits for i in positions})
+        if supplied != expected:
+            # Exact equality: extraneous chunks are rejected, not just missing ones.
+            return Verdict.invalid("chunk indices do not match the element's chunk set")
+        if len(chunks) != len(expected):
+            return Verdict.invalid("chunk count does not match chunk index count")
+        claimed = dict(zip(expected, chunks))
+        required = positions
+        absent = False
+    elif isinstance(proof, AbsenceProof):
+        chunk_index = proof.chunk_index
+        if isinstance(chunk_index, bool) or not isinstance(chunk_index, int):
+            return Verdict.invalid("chunk index must be an integer")
+        required = [i for i in positions if i // chunk_bits == chunk_index]
+        if not required:
+            return Verdict.invalid("chunk is not one the element maps into")
+        claimed = {required[0] // chunk_bits: proof.chunk}  # keyed by the verifier's own int
+        path = proof.path
+        absent = True
+    else:
+        return Verdict.invalid(f"unknown proof type {type(proof).__name__}")
+
     size = params.chunk_size
-    expected = sorted({i // chunk_bits for i in positions})
-    try:
-        supplied = list(proof.chunk_indices)
-        chunks = tuple(proof.chunks)
-        multiproof = list(proof.multiproof)
-    except TypeError:
-        return Verdict.invalid("malformed presence proof fields")
-    if supplied != expected:
-        # Exact equality: extraneous chunks are rejected, not just missing ones.
-        return Verdict.invalid("chunk indices do not match the element's chunk set")
-    if len(chunks) != len(expected):
-        return Verdict.invalid("chunk count does not match chunk index count")
-    for chunk_index, chunk in zip(expected, chunks):
+    for chunk_index, chunk in claimed.items():
         if not isinstance(chunk, (bytes, bytearray)) or len(chunk) != size:
-            return Verdict.invalid(f"chunk {chunk_index} is not exactly {size} bytes")
-    by_index = dict(zip(expected, chunks))
-    zeros = [i for i in positions if not by_index[i // chunk_bits][(i >> 3) % size] >> (i & 7) & 1]
-    if zeros:
+            which = "chunk" if absent else f"chunk {chunk_index}"
+            return Verdict.invalid(f"{which} is not exactly {size} bytes")
+    zeros = [i for i in required if not claimed[i // chunk_bits][(i >> 3) % size] >> (i & 7) & 1]
+    if absent:
+        if not zeros:
+            return Verdict.invalid("every required bit in the supplied chunk is set")
+        try:
+            path = list(path)
+        except TypeError:
+            return Verdict.invalid("malformed absence proof path")
+    elif zeros:
         chunk_index, local = divmod(min(zeros), chunk_bits)
         return Verdict.invalid(f"required bit {local} of chunk {chunk_index} is zero")
     sha256 = hashlib.sha256
     head = _LEAF_HEAD.pack
-    entries = [(c, sha256(head(0, c) + chunk).digest()) for c, chunk in zip(expected, chunks)]
-    if not verify_multi(root, entries, params.chunk_count, multiproof):
-        return Verdict.invalid("multiproof does not reconstruct the root")
-    return Verdict.maybe_present()
-
-
-def _verify_absence(
-    root: bytes,
-    params: BloomParams,
-    positions: list[int],
-    proof: AbsenceProof,
-) -> Verdict:
-    chunk_index = proof.chunk_index
-    if isinstance(chunk_index, bool) or not isinstance(chunk_index, int):
-        return Verdict.invalid("chunk index must be an integer")
-    required = [local for c, local in (locate(i, params) for i in positions) if c == chunk_index]
-    if not required:
-        return Verdict.invalid("chunk is not one the element maps into")
-    chunk = proof.chunk
-    if not isinstance(chunk, (bytes, bytearray)) or len(chunk) != params.chunk_size:
-        return Verdict.invalid(f"chunk is not exactly {params.chunk_size} bytes")
-    if all((chunk[local >> 3] >> (local & 7)) & 1 for local in required):
-        return Verdict.invalid("every required bit in the supplied chunk is set")
-    try:
-        path = list(proof.path)
-    except TypeError:
-        return Verdict.invalid("malformed absence proof path")
-    if not verify_single(root, leaf_hash(chunk_index, chunk), chunk_index, params.chunk_count, path):
-        return Verdict.invalid("path does not reconstruct the root")
-    return Verdict.definitely_absent()
+    entries = [(c, sha256(head(0, c) + chunk).digest()) for c, chunk in claimed.items()]
+    if not verify_multi(root, entries, params.chunk_count, path):
+        what = "path" if absent else "multiproof"
+        return Verdict.invalid(f"{what} does not reconstruct the root")
+    return Verdict.definitely_absent() if absent else Verdict.maybe_present()

@@ -16,7 +16,7 @@ import pytest
 from bloomtree import codec
 from bloomtree.bloom import BloomFilter, BloomParams, derive_params, fpr
 from bloomtree.experiment import ExperimentConfig, run_grid, rows_to_csv
-from bloomtree.merkle import build_tree, prove_multi, prove_single, verify_multi
+from bloomtree.merkle import build_tree, prove_multi, verify_multi
 from bloomtree.tree import (
     AbsenceProof,
     PresenceProof,
@@ -75,7 +75,7 @@ def test_criterion_2_multiproof_compression():
         rng = random.Random("acceptance-compression")
         tree = build_tree([rng.randbytes(32) for _ in range(8)])
         assert len(prove_multi(tree, [0, 3, 6])) == 4
-        assert sum(len(prove_single(tree, i)) for i in (0, 3, 6)) == 9
+        assert sum(len(prove_multi(tree, [i])) for i in (0, 3, 6)) == 9
 
 
 def test_criterion_3_multiproof_oracle_equivalence():

@@ -89,70 +89,99 @@ class TestBuildTree:
 
 
 class TestSingleProof:
+    """One-leaf multiproofs: the plain bottom-up sibling path."""
+
     def test_single_leaf_empty_path(self):
         tree = build_tree(leaves_for(1))
-        assert prove_single(tree, 0) == []
-        assert verify_single(tree.root, tree.node(0, 0), 0, 1, [])
+        assert prove_multi(tree, [0]) == []
+        assert verify_multi(tree.root, [(0, tree.node(0, 0))], 1, [])
 
     def test_four_leaf_sibling_walk(self):
         tree = build_tree(leaves_for(4))
-        assert prove_single(tree, 3) == [tree.node(0, 2), tree.node(1, 0)]
+        assert prove_multi(tree, [3]) == [tree.node(0, 2), tree.node(1, 0)]
 
     def test_eight_leaf_path_length(self):
         tree = build_tree(leaves_for(8))
-        assert len(prove_single(tree, 5)) == 3
+        assert len(prove_multi(tree, [5])) == 3
 
     def test_out_of_range_index(self):
         tree = build_tree(leaves_for(4))
         with pytest.raises(ValueError):
-            prove_single(tree, 4)
+            prove_multi(tree, [4])
 
     @pytest.mark.parametrize("count", [1, 2, 4, 8, 16])
     def test_round_trip_every_index(self, count):
         tree = build_tree(leaves_for(count, seed=count))
         for i in range(count):
-            proof = prove_single(tree, i)
-            assert verify_single(tree.root, tree.node(0, i), i, count, proof)
+            proof = prove_multi(tree, [i])
+            assert verify_multi(tree.root, [(i, tree.node(0, i))], count, proof)
 
     def test_mutated_path_digest_fails(self):
         tree = build_tree(leaves_for(16, seed=3))
         rng = random.Random(99)
         for _ in range(100):
             i = rng.randrange(16)
-            proof = prove_single(tree, i)
+            proof = prove_multi(tree, [i])
             level = rng.randrange(len(proof))
             proof[level] = flip_byte(proof[level], rng.randrange(32))
-            assert not verify_single(tree.root, tree.node(0, i), i, 16, proof)
+            assert not verify_multi(tree.root, [(i, tree.node(0, i))], 16, proof)
 
     def test_wrong_index_fails(self):
         tree = build_tree(leaves_for(16, seed=4))
-        proof = prove_single(tree, 5)
-        assert not verify_single(tree.root, tree.node(0, 5), 6, 16, proof)
+        proof = prove_multi(tree, [5])
+        assert not verify_multi(tree.root, [(6, tree.node(0, 5))], 16, proof)
 
     def test_wrong_proof_length_is_false_not_raise(self):
         tree = build_tree(leaves_for(4))
-        proof = prove_single(tree, 1)
-        assert not verify_single(tree.root, tree.node(0, 1), 1, 4, proof[:1])
-        assert not verify_single(tree.root, tree.node(0, 1), 1, 4, proof + [bytes(32)])
+        proof = prove_multi(tree, [1])
+        entries = [(1, tree.node(0, 1))]
+        assert not verify_multi(tree.root, entries, 4, proof[:1])
+        assert not verify_multi(tree.root, entries, 4, proof + [bytes(32)])
 
     def test_garbage_inputs_are_false(self):
         tree = build_tree(leaves_for(4))
-        proof = prove_single(tree, 0)
+        proof = prove_multi(tree, [0])
         leaf = tree.node(0, 0)
-        assert not verify_single(tree.root, leaf, 0, 5, proof)  # not a power of two
-        assert not verify_single(tree.root, leaf, -1, 4, proof)
-        assert not verify_single(b"short", leaf, 0, 4, proof)
-        assert not verify_single(tree.root, b"short", 0, 4, proof)
-        assert not verify_single(tree.root, leaf, 0, 4, [b"short", b"x"])
+        assert not verify_multi(tree.root, [(0, leaf)], 5, proof)  # not a power of two
+        assert not verify_multi(tree.root, [(-1, leaf)], 4, proof)
+        assert not verify_multi(b"short", [(0, leaf)], 4, proof)
+        assert not verify_multi(tree.root, [(0, b"short")], 4, proof)
+        assert not verify_multi(tree.root, [(0, leaf)], 4, [b"short", b"x"])
+        assert not verify_multi(tree.root, [(0, leaf)], 4, None)
+
+    def test_inner_node_posing_as_a_leaf_is_false(self):
+        # An inner node's digest with its own, shorter path folds to the root;
+        # only the path-length check tells it from a leaf.
+        tree = build_tree(leaves_for(8, seed=5))
+        for i in range(8):
+            path = prove_multi(tree, [i])
+            inner = [(i >> 1, tree.node(1, i >> 1))]
+            assert not verify_multi(tree.root, inner, 8, path[1:])
+            assert not verify_multi(tree.root, inner, 8, path)
+        pair = [(0, tree.node(1, 0)), (1, tree.node(1, 1))]
+        assert not verify_multi(tree.root, pair, 8, [tree.node(2, 1)])
 
     def test_bool_leaf_index_is_false(self):
         # True == 1, so without the check a valid proof for leaf 1 would pass
         tree = build_tree(leaves_for(4))
-        proof = prove_single(tree, 1)
+        proof = prove_multi(tree, [1])
         leaf = tree.node(0, 1)
-        assert verify_single(tree.root, leaf, 1, 4, proof)
-        assert not verify_single(tree.root, leaf, True, 4, proof)
-        assert not verify_single(tree.root, tree.node(0, 0), False, 4, prove_single(tree, 0))
+        assert verify_multi(tree.root, [(1, leaf)], 4, proof)
+        assert not verify_multi(tree.root, [(True, leaf)], 4, proof)
+        assert not verify_multi(tree.root, [(False, tree.node(0, 0))], 4, prove_multi(tree, [0]))
+
+    def test_single_aliases_are_the_one_leaf_multiproof(self):
+        tree = build_tree(leaves_for(16, seed=10))
+        for i in (0, 7, 15):
+            proof = prove_multi(tree, [i])
+            assert prove_single(tree, i) == proof
+            leaf = tree.node(0, i)
+            assert verify_single(tree.root, leaf, i, 16, proof)
+            for index, candidate in ((i, proof[:-1]), (i ^ 1, proof), (True, proof)):
+                assert verify_single(tree.root, leaf, index, 16, candidate) == verify_multi(
+                    tree.root, [(index, leaf)], 16, candidate
+                )
+                assert not verify_single(tree.root, leaf, index, 16, candidate)
 
 
 class TestMultiProof:
@@ -171,17 +200,12 @@ class TestMultiProof:
             tree.node(0, 7),
             tree.node(1, 2),
         ]
-        singles = sum(len(prove_single(tree, i)) for i in (0, 3, 6))
+        singles = sum(len(prove_multi(tree, [i])) for i in (0, 3, 6))
         assert singles == 9
 
     def test_adjacent_pair_skips_leaf_level(self):
         tree = build_tree(leaves_for(8, seed=9))
         assert prove_multi(tree, [0, 1]) == [tree.node(1, 1), tree.node(2, 1)]
-
-    def test_single_index_equals_single_proof(self):
-        tree = build_tree(leaves_for(16, seed=10))
-        for i in (0, 7, 15):
-            assert prove_multi(tree, [i]) == prove_single(tree, i)
 
     @pytest.mark.parametrize("bad", [[], [1, 1], [2, 1], [0, 8], [-1]])
     def test_rejects_bad_index_sets(self, bad):

@@ -131,3 +131,28 @@ def test_dense_and_sparse_extremes_match_the_oracle():
         assert proof == oracle_prove(LEVELS, indices)
         assert len(proof) <= len(indices) * DEPTH
         assert verify_multi(TREE.root, [(i, LEAVES[i]) for i in indices], LEAF_COUNT, proof)
+
+
+def test_one_leaf_multiproof_matches_the_oracle_at_every_leaf():
+    # A one-leaf multiproof is the plain sibling path: check it at all 1,024
+    # leaves, honest and with a cut, an extended or a flipped path, or the
+    # neighbouring index.
+    for i in range(LEAF_COUNT):
+        proof = prove_multi(TREE, [i])
+        assert proof == oracle_prove(LEVELS, [i])
+        assert len(proof) == DEPTH
+        entries = [(i, LEAVES[i])]
+        assert verify_multi(TREE.root, entries, LEAF_COUNT, proof)
+        assert oracle_verify(TREE.root, entries, LEAF_COUNT, proof)
+        at = i % DEPTH
+        flipped = bytearray(proof[at])
+        flipped[i % 32] ^= 1
+        for name, mutated_entries, mutated_proof in (
+            ("cut path", entries, proof[:-1]),
+            ("extended path", entries, proof + [LEAVES[i]]),
+            ("flipped digest", entries, proof[:at] + [bytes(flipped)] + proof[at + 1 :]),
+            ("neighbouring index", [(i ^ 1, LEAVES[i])], proof),
+        ):
+            expected = oracle_verify(TREE.root, mutated_entries, LEAF_COUNT, mutated_proof)
+            assert not expected, name
+            assert verify_multi(TREE.root, mutated_entries, LEAF_COUNT, mutated_proof) == expected, name

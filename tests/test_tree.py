@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bloomtree import codec
 from bloomtree.bloom import BloomFilter, BloomParams, indices
 from bloomtree.merkle import build_tree
 from bloomtree.tree import (
     AbsenceProof,
+    BloomTree,
     PresenceProof,
     Verdict,
     VerdictKind,
@@ -111,6 +113,15 @@ class TestBuild:
             assert verify(root, SMALL, element, proof).is_valid
         with pytest.raises(TypeError):
             built.filter.insert(late[0])  # the committed snapshot is read-only
+
+    def test_root_is_read_from_the_tree(self):
+        bloom_tree, _, _ = populated_tree(seed=23)
+        assert bloom_tree.root == bloom_tree.tree.root
+        other, _, _ = populated_tree(seed=24)
+        with pytest.raises(TypeError):
+            BloomTree(filter=bloom_tree.filter, tree=bloom_tree.tree, root=other.root)
+        with pytest.raises(AttributeError):
+            bloom_tree.root = other.root
 
     def test_root_matches_hand_built_tree(self):
         bloom_tree, _, _ = populated_tree(seed=7)
@@ -236,6 +247,30 @@ class TestVerify:
                 if verify(bloom_tree.root, params, element, relabeled).kind is not VerdictKind.INVALID:
                     forgeries += 1
         assert forgeries == 0
+
+    def test_absence_path_of_the_wrong_shape_is_invalid(self):
+        # The path length is checked only by the multiproof's final fold.
+        bloom_tree, _, rng = populated_tree(seed=25)
+        params = bloom_tree.filter.params
+        checked = 0
+        while checked < 20:
+            element = rng.randbytes(13)
+            proof = prove(bloom_tree, element)
+            if not isinstance(proof, AbsenceProof):
+                continue
+            checked += 1
+            path = proof.path
+            a, b = sorted(rng.sample(range(len(path)), 2))
+            swapped = list(path)
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            for mutated in (path[:-1], path + (rng.randbytes(32),), tuple(swapped)):
+                tampered = AbsenceProof(proof.chunk_index, proof.chunk, mutated)
+                decoded_params, decoded = codec.decode_proof(codec.encode_proof(params, tampered))
+                assert decoded == tampered
+                for candidate in (tampered, decoded):
+                    verdict = verify(bloom_tree.root, decoded_params, element, candidate)
+                    assert verdict.kind is VerdictKind.INVALID
+                    assert verdict.reason == "path does not reconstruct the root"
 
     def test_presence_with_cleared_bit_is_invalid(self):
         bloom_tree, inserted, _ = populated_tree(seed=14)
