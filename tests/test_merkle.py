@@ -174,7 +174,6 @@ class TestSingleProof:
         tree = build_tree(leaves_for(16, seed=10))
         for i in (0, 7, 15):
             proof = prove_multi(tree, [i])
-            assert prove_single(tree, i) == proof
             leaf = tree.node(0, i)
             assert verify_single(tree.root, leaf, i, 16, proof)
             for index, candidate in ((i, proof[:-1]), (i ^ 1, proof), (True, proof)):
@@ -206,6 +205,11 @@ class TestMultiProof:
     def test_adjacent_pair_skips_leaf_level(self):
         tree = build_tree(leaves_for(8, seed=9))
         assert prove_multi(tree, [0, 1]) == [tree.node(1, 1), tree.node(2, 1)]
+
+    def test_single_index_equals_single_proof(self):
+        tree = build_tree(leaves_for(16, seed=10))
+        for i in (0, 7, 15):
+            assert prove_multi(tree, [i]) == prove_single(tree, i)
 
     @pytest.mark.parametrize("bad", [[], [1, 1], [2, 1], [0, 8], [-1]])
     def test_rejects_bad_index_sets(self, bad):
