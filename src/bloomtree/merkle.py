@@ -109,11 +109,11 @@ def verify_single(
 def prove_multi(tree: MerkleTree, leaf_indices: Sequence[int]) -> list[Digest]:
     """One proof covering several leaves, sharing interior digests.
 
-    leaf_indices must be strictly increasing, in range and of type int. The
-    proof holds only the sibling digests the verifier cannot recompute, in
-    the canonical schedule order described in the module docstring.
-    Requesting all leaves yields an empty proof; requesting one leaf yields
-    its sibling path, one digest per level.
+    leaf_indices must be strictly increasing, in range and ints (a bool is
+    not). The proof holds only the sibling digests the verifier cannot
+    recompute, in the canonical schedule order described in the module
+    docstring. Requesting all leaves yields an empty proof; requesting one
+    leaf yields its sibling path, one digest per level.
     """
     known = list(leaf_indices)
     if not _are_leaf_indices(known, tree.leaf_count):
@@ -225,13 +225,10 @@ def _all_digests(values: Sequence) -> bool:
 
 
 def _are_leaf_indices(indices: Sequence[int], leaf_count: int) -> bool:
-    """A non-empty, strictly increasing run of exact ints (no bools) in [0, leaf_count)."""
-    if len(indices) == 1:  # every absence proof: skip the set and the slice
-        index = indices[0]
-        return type(index) is int and 0 <= index < leaf_count
-    return (
-        set(map(type, indices)) == _INDEX_TYPES  # also False when empty
-        and 0 <= indices[0]
-        and indices[-1] < leaf_count
-        and all(map(operator.lt, indices, indices[1:]))
-    )
+    """A non-empty, strictly increasing run of ints (bools excluded) in [0, leaf_count)."""
+    if len(indices) == 1 and type(indices[0]) is int:  # every absence proof: skip the set and the slice
+        return 0 <= indices[0] < leaf_count
+    if set(map(type, indices)) != _INDEX_TYPES:  # empty, or subclasses: take the slow path
+        if not indices or not all(isinstance(i, int) and not isinstance(i, bool) for i in indices):
+            return False
+    return 0 <= indices[0] and indices[-1] < leaf_count and all(map(operator.lt, indices, indices[1:]))

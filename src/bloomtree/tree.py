@@ -200,15 +200,15 @@ def verify(
     except TypeError:
         return Verdict.invalid(f"element must be bytes, not {type(element).__name__}")
     chunk_bits = params.chunk_bits
-    # The two kinds differ only in which chunks the proof must claim and in
-    # whether a required bit may be zero. Each yields ``claimed`` (chunk index
-    # -> chunk) and the positions those chunks must show; both then hash the
-    # chunks as leaves and check them with one multiproof.
+    size = params.chunk_size
+    # The two kinds differ in which chunks the proof must claim and in whether
+    # a required bit may be zero; both then check their chunks as leaves of one
+    # multiproof.
     if isinstance(proof, PresenceProof):
         try:
             supplied = list(proof.chunk_indices)
             chunks = tuple(proof.chunks)
-            path = list(proof.multiproof)
+            multiproof = list(proof.multiproof)
         except TypeError:
             return Verdict.invalid("malformed presence proof fields")
         expected = sorted({i // chunk_bits for i in positions})
@@ -218,41 +218,49 @@ def verify(
         if len(chunks) != len(expected):
             return Verdict.invalid("chunk count does not match chunk index count")
         claimed = dict(zip(expected, chunks))
-        required = positions
-        absent = False
-    elif isinstance(proof, AbsenceProof):
+        for chunk_index, chunk in claimed.items():
+            if not isinstance(chunk, (bytes, bytearray)) or len(chunk) != size:
+                return Verdict.invalid(f"chunk {chunk_index} is not exactly {size} bytes")
+        zeros = _zero_bits(positions, claimed, params)
+        if zeros:
+            chunk_index, local = divmod(min(zeros), chunk_bits)
+            return Verdict.invalid(f"required bit {local} of chunk {chunk_index} is zero")
+        if not _reconstructs(root, params, claimed, multiproof):
+            return Verdict.invalid("multiproof does not reconstruct the root")
+        return Verdict.maybe_present()
+    if isinstance(proof, AbsenceProof):
         chunk_index = proof.chunk_index
         if isinstance(chunk_index, bool) or not isinstance(chunk_index, int):
             return Verdict.invalid("chunk index must be an integer")
         required = [i for i in positions if i // chunk_bits == chunk_index]
         if not required:
             return Verdict.invalid("chunk is not one the element maps into")
-        claimed = {required[0] // chunk_bits: proof.chunk}  # keyed by the verifier's own int
-        path = proof.path
-        absent = True
-    else:
-        return Verdict.invalid(f"unknown proof type {type(proof).__name__}")
-
-    size = params.chunk_size
-    for chunk_index, chunk in claimed.items():
+        chunk = proof.chunk
         if not isinstance(chunk, (bytes, bytearray)) or len(chunk) != size:
-            which = "chunk" if absent else f"chunk {chunk_index}"
-            return Verdict.invalid(f"{which} is not exactly {size} bytes")
-    zeros = [i for i in required if not claimed[i // chunk_bits][(i >> 3) % size] >> (i & 7) & 1]
-    if absent:
-        if not zeros:
+            return Verdict.invalid(f"chunk is not exactly {size} bytes")
+        claimed = {required[0] // chunk_bits: chunk}  # keyed by the verifier's own int
+        if not _zero_bits(required, claimed, params):
             return Verdict.invalid("every required bit in the supplied chunk is set")
         try:
-            path = list(path)
+            path = list(proof.path)
         except TypeError:
             return Verdict.invalid("malformed absence proof path")
-    elif zeros:
-        chunk_index, local = divmod(min(zeros), chunk_bits)
-        return Verdict.invalid(f"required bit {local} of chunk {chunk_index} is zero")
+        if not _reconstructs(root, params, claimed, path):
+            return Verdict.invalid("path does not reconstruct the root")
+        return Verdict.definitely_absent()
+    return Verdict.invalid(f"unknown proof type {type(proof).__name__}")
+
+
+def _zero_bits(positions: list[int], claimed: dict[int, bytes], params: BloomParams) -> list[int]:
+    """The global bit positions that are zero in the claimed chunk holding them."""
+    chunk_bits = params.chunk_bits
+    size = params.chunk_size
+    return [i for i in positions if not claimed[i // chunk_bits][(i >> 3) % size] >> (i & 7) & 1]
+
+
+def _reconstructs(root: bytes, params: BloomParams, claimed: dict[int, bytes], proof: list[Digest]) -> bool:
+    """Hash each claimed chunk as the leaf at its index and check them all with one multiproof."""
     sha256 = hashlib.sha256
     head = _LEAF_HEAD.pack
     entries = [(c, sha256(head(0, c) + chunk).digest()) for c, chunk in claimed.items()]
-    if not verify_multi(root, entries, params.chunk_count, path):
-        what = "path" if absent else "multiproof"
-        return Verdict.invalid(f"{what} does not reconstruct the root")
-    return Verdict.definitely_absent() if absent else Verdict.maybe_present()
+    return verify_multi(root, entries, params.chunk_count, proof)

@@ -170,6 +170,21 @@ class TestSingleProof:
         assert not verify_multi(tree.root, [(True, leaf)], 4, proof)
         assert not verify_multi(tree.root, [(False, tree.node(0, 0))], 4, prove_multi(tree, [0]))
 
+    def test_int_subclass_indices_count_as_ints(self):
+        # bool is the one int subclass refused; any other indexes like its value
+        class Index(int):
+            pass
+
+        tree = build_tree(leaves_for(16, seed=12))
+        for subset in ([Index(5)], [3, Index(9)], [Index(0), Index(1), 15]):
+            proof = prove_multi(tree, subset)
+            assert proof == prove_multi(tree, [int(i) for i in subset])
+            assert verify_multi(tree.root, entries_for(tree, subset), 16, proof)
+        for bad in ([Index(16)], [Index(-1)], [Index(4), Index(4)], [Index(3), True]):
+            with pytest.raises(ValueError):
+                prove_multi(tree, bad)
+            assert not verify_multi(tree.root, [(i, tree.node(0, 3)) for i in bad], 16, prove_multi(tree, [3]))
+
     def test_single_aliases_are_the_one_leaf_multiproof(self):
         tree = build_tree(leaves_for(16, seed=10))
         for i in (0, 7, 15):
