@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -118,6 +119,15 @@ class TestGrid:
             ExperimentConfig(chunk_sizes=())
         with pytest.raises(ValueError):
             ExperimentConfig(sample_size=0)
+
+    def test_default_grid_output_is_pinned(self):
+        # The CSV and the summary table are frozen: SHA-256 of each for the
+        # default grid, taken before the row formatting was rewritten.
+        rows = run_grid(ExperimentConfig())
+        csv_digest = hashlib.sha256(rows_to_csv(rows).encode("utf-8")).hexdigest()
+        summary_digest = hashlib.sha256(format_summary(rows).encode("utf-8")).hexdigest()
+        assert csv_digest == "d322282179b5b497dccac099bb9052e7f1883414f1187c508ce4d1e379815886"
+        assert summary_digest == "4f92992cb019d0c4e08b4c5af48abf62fa40baa6f73060229d70cb1f57ed22c8"
 
 
 def test_row_fields_are_plain_data():
