@@ -21,6 +21,7 @@ from .experiment import (
     ExperimentConfig,
     format_summary,
     run_grid,
+    write_csv,
 )
 from .tree import AbsenceProof, Verdict, build, prove, verify
 
@@ -76,7 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a proof against a root (or a filter file's root)")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--root", help="64-char lowercase hex root")
+    source.add_argument(
+        "--root",
+        help="64-char lowercase hex root; the params are read from the proof file and not checked, "
+        "since the root does not commit to k",
+    )
     source.add_argument("--filter", help="filter file to take root and params from")
     _add_element_flags(p)
     p.add_argument("--proof", required=True, help="proof file")
@@ -195,7 +200,8 @@ def _cmd_experiment(args) -> int:
         sample_size=args.sample_size,
         seed=args.seed,
     )
-    rows = run_grid(config, csv_path=args.out)
+    rows = run_grid(config)
+    write_csv(rows, args.out)
     print(format_summary(rows))
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK

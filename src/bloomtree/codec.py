@@ -39,6 +39,10 @@ ABSENCE_KIND = 0x02
 
 Proof = Union[PresenceProof, AbsenceProof]
 
+_PARAMS = struct.Struct("<QII")  # m u64 | k u32 | chunk_size u32
+_COUNT = struct.Struct("<H")
+_INDEX = struct.Struct("<Q")
+
 
 class CodecError(Exception):
     """Base class for every decode failure."""
@@ -84,17 +88,8 @@ class _Reader:
         self.offset += count
         return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+    def read(self, layout: struct.Struct) -> tuple:
+        return layout.unpack(self.take(layout.size))
 
     def finish(self) -> None:
         if self.offset != len(self.data):
@@ -132,43 +127,40 @@ def decode_filter(data: bytes) -> BloomTree:
 
 def encode_proof(params: BloomParams, proof: Proof) -> bytes:
     """Serialize a presence or absence proof with the params echoed."""
-    header = PROOF_MAGIC + bytes([VERSION])
+    # Each kind differs only in the fields ahead of its chunks: the chunk count
+    # and chunk indices of a presence proof, the one chunk index of an absence proof.
     if isinstance(proof, PresenceProof):
+        kind, chunks, digests = PRESENCE_KIND, proof.chunks, proof.multiproof
         count = len(proof.chunk_indices)
-        if count != len(proof.chunks):
+        if count != len(chunks):
             raise ValueError("chunk index count and chunk count disagree")
-        if count > 0xFFFF or len(proof.multiproof) > 0xFFFF:
-            raise ValueError("proof too large for u16 count fields")
-        _check_chunks(params, proof.chunks)
-        _check_digests(proof.multiproof)
-        return b"".join(
-            (
-                header,
-                bytes([PRESENCE_KIND]),
-                _pack_params(params),
-                struct.pack(f"<H{count}Q", count, *proof.chunk_indices),
-                *proof.chunks,
-                struct.pack("<H", len(proof.multiproof)),
-                *proof.multiproof,
-            )
+        layout, fields = f"<H{count}Q", (count, *proof.chunk_indices)
+    elif isinstance(proof, AbsenceProof):
+        kind, chunks, digests = ABSENCE_KIND, (proof.chunk,), proof.path
+        layout, fields = "<Q", (proof.chunk_index,)
+    else:
+        raise TypeError(f"cannot encode proof of type {type(proof).__name__}")
+    if len(chunks) > 0xFFFF or len(digests) > 0xFFFF:
+        raise ValueError("proof too large for u16 count fields")
+    if not set(map(len, chunks)) <= {params.chunk_size}:
+        raise ValueError(f"chunks must be exactly {params.chunk_size} bytes")
+    if not set(map(len, digests)) <= {DIGEST_SIZE}:
+        raise ValueError("digests must be exactly 32 bytes")
+    try:
+        head = struct.pack(layout, *fields)
+    except struct.error:
+        raise ValueError("chunk indices must be integers in [0, 2**64)") from None
+    return b"".join(
+        (
+            PROOF_MAGIC,
+            bytes([VERSION, kind]),
+            _pack_params(params),
+            head,
+            *chunks,
+            _COUNT.pack(len(digests)),
+            *digests,
         )
-    if isinstance(proof, AbsenceProof):
-        if len(proof.path) > 0xFFFF:
-            raise ValueError("proof too large for u16 count fields")
-        _check_chunks(params, (proof.chunk,))
-        _check_digests(proof.path)
-        return b"".join(
-            (
-                header,
-                bytes([ABSENCE_KIND]),
-                _pack_params(params),
-                struct.pack("<Q", proof.chunk_index),
-                proof.chunk,
-                struct.pack("<H", len(proof.path)),
-                *proof.path,
-            )
-        )
-    raise TypeError(f"cannot encode proof of type {type(proof).__name__}")
+    )
 
 
 def decode_proof(data: bytes) -> tuple[BloomParams, Proof]:
@@ -176,23 +168,27 @@ def decode_proof(data: bytes) -> tuple[BloomParams, Proof]:
     reader = _Reader(data)
     _expect_magic(reader, PROOF_MAGIC)
     _expect_version(reader)
-    kind = reader.u8()
+    kind = reader.take(1)[0]
     params = _unpack_params(reader)
     size = params.chunk_size
     if kind == PRESENCE_KIND:
-        count = reader.u16()
-        chunk_indices = struct.unpack(f"<{count}Q", reader.take(8 * count))
+        (count,) = reader.read(_COUNT)
+        chunk_indices = reader.read(struct.Struct(f"<{count}Q"))
         chunks = _split(reader.take(size * count), size)
-        multiproof = _split(reader.take(DIGEST_SIZE * reader.u16()), DIGEST_SIZE)
-        reader.finish()
-        return params, PresenceProof(chunk_indices=chunk_indices, chunks=chunks, multiproof=multiproof)
+        return params, PresenceProof(chunk_indices=chunk_indices, chunks=chunks, multiproof=_read_digests(reader))
     if kind == ABSENCE_KIND:
-        chunk_index = reader.u64()
+        (chunk_index,) = reader.read(_INDEX)
         chunk = reader.take(size)
-        path = _split(reader.take(DIGEST_SIZE * reader.u16()), DIGEST_SIZE)
-        reader.finish()
-        return params, AbsenceProof(chunk_index=chunk_index, chunk=chunk, path=path)
+        return params, AbsenceProof(chunk_index=chunk_index, chunk=chunk, path=_read_digests(reader))
     raise InvalidField(f"unknown proof kind 0x{kind:02x}")
+
+
+def _read_digests(reader: _Reader) -> tuple[bytes, ...]:
+    """The u16 count | 32-byte digests section that ends every proof, and the end of the input."""
+    (count,) = reader.read(_COUNT)
+    digests = _split(reader.take(DIGEST_SIZE * count), DIGEST_SIZE)
+    reader.finish()
+    return digests
 
 
 def _split(section: bytes, width: int) -> tuple[bytes, ...]:
@@ -200,13 +196,11 @@ def _split(section: bytes, width: int) -> tuple[bytes, ...]:
 
 
 def _pack_params(params: BloomParams) -> bytes:
-    return struct.pack("<QII", params.m, params.k, params.chunk_size)
+    return _PARAMS.pack(params.m, params.k, params.chunk_size)
 
 
 def _unpack_params(reader: _Reader) -> BloomParams:
-    m = reader.u64()
-    k = reader.u32()
-    chunk_size = reader.u32()
+    m, k, chunk_size = reader.read(_PARAMS)
     try:
         return BloomParams(m=m, k=k, chunk_size=chunk_size)
     except ValueError as exc:
@@ -219,16 +213,7 @@ def _expect_magic(reader: _Reader, magic: bytes) -> None:
 
 
 def _expect_version(reader: _Reader) -> None:
-    version = reader.u8()
+    version = reader.take(1)[0]
     if version != VERSION:
         raise UnsupportedVersion(f"unsupported version {version}, expected {VERSION}")
 
-
-def _check_chunks(params: BloomParams, chunks) -> None:
-    if not set(map(len, chunks)) <= {params.chunk_size}:
-        raise ValueError(f"chunks must be exactly {params.chunk_size} bytes")
-
-
-def _check_digests(digests) -> None:
-    if not set(map(len, digests)) <= {DIGEST_SIZE}:
-        raise ValueError("digests must be exactly 32 bytes")

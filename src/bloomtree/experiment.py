@@ -9,7 +9,7 @@ fixed seed, down to the emitted CSV bytes.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .bloom import BloomFilter, derive_params
 from .codec import encode_proof
@@ -21,7 +21,11 @@ DEFAULT_NS = (500, 1000, 5000, 10000)
 DEFAULT_SAMPLE_SIZE = 100
 DEFAULT_SEED = 7
 
+# Header labels in ExperimentRow field order, for the CSV and for the summary
+# table (with each column's width).
 CSV_COLUMNS = ("chunk_size", "fpr", "n", "m_bits", "k", "filter_bytes", "absence_bytes", "median_presence_bytes")
+_SUMMARY_LABELS = ("chunk", "fpr", "n", "m_bits", "k", "filter_B", "absence_B", "presence_B")
+_SUMMARY_WIDTHS = (5, 7, 6, 8, 3, 9, 10, 11)
 
 _ELEMENT_LENGTH = 16
 
@@ -43,7 +47,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentRow:
-    """One grid cell's measurements, all sizes in encoded bytes."""
+    """One grid cell's measurements, all sizes in encoded bytes.
+
+    The field order is the column order of the CSV and the summary table.
+    """
 
     chunk_size: int
     fpr_target: float
@@ -96,43 +103,24 @@ def run_cell(
     )
 
 
-def run_grid(config: ExperimentConfig = ExperimentConfig(), csv_path=None) -> list[ExperimentRow]:
+def run_grid(config: ExperimentConfig = ExperimentConfig()) -> list[ExperimentRow]:
     """Run the full cross product in deterministic order.
 
     Row order is chunk_sizes x fprs x ns regardless of how cells might be
-    scheduled. When csv_path is given the CSV is written there as well.
+    scheduled.
     """
-    rows = [
+    return [
         run_cell(chunk_size, fpr_target, n, config.sample_size, config.seed)
         for chunk_size in config.chunk_sizes
         for fpr_target in config.fprs
         for n in config.ns
     ]
-    if csv_path is not None:
-        write_csv(rows, csv_path)
-    return rows
 
 
 def rows_to_csv(rows: list[ExperimentRow]) -> str:
     """CSV text with a mandatory header; newline-terminated, LF line ends."""
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                str(value)
-                for value in (
-                    row.chunk_size,
-                    row.fpr_target,
-                    row.n,
-                    row.m_bits,
-                    row.k,
-                    row.filter_bytes,
-                    row.absence_proof_bytes,
-                    row.median_presence_proof_bytes,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    lines = [CSV_COLUMNS, *map(astuple, rows)]
+    return "".join(",".join(map(str, line)) + "\n" for line in lines)
 
 
 def write_csv(rows: list[ExperimentRow], path) -> None:
@@ -142,14 +130,11 @@ def write_csv(rows: list[ExperimentRow], path) -> None:
 
 def format_summary(rows: list[ExperimentRow]) -> str:
     """Fixed-width table of the grid for terminal output."""
-    header = f"{'chunk':>5} {'fpr':>7} {'n':>6} {'m_bits':>8} {'k':>3} {'filter_B':>9} {'absence_B':>10} {'presence_B':>11}"
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row.chunk_size:>5} {row.fpr_target:>7} {row.n:>6} {row.m_bits:>8} {row.k:>3}"
-            f" {row.filter_bytes:>9} {row.absence_proof_bytes:>10} {row.median_presence_proof_bytes:>11}"
-        )
-    return "\n".join(lines)
+    header, *body = [
+        " ".join(f"{value:>{width}}" for value, width in zip(line, _SUMMARY_WIDTHS))
+        for line in (_SUMMARY_LABELS, *map(astuple, rows))
+    ]
+    return "\n".join([header, "-" * len(header), *body])
 
 
 def lower_median(values) -> int:

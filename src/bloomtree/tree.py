@@ -31,13 +31,21 @@ _LEAF_HEAD = struct.Struct("<BQ")
 
 
 def leaf_hash(chunk_index: int, chunk: bytes) -> Digest:
-    """Digest of a chunk salted with its index.
+    """Digest of a chunk salted with its index; see _leaf_hashes."""
+    return _leaf_hashes([(chunk_index, bytes(chunk))])[0]
+
+
+def _leaf_hashes(indexed_chunks) -> list[Digest]:
+    """The leaf digest of each (chunk_index, chunk) pair, in order.
 
     SHA-256(0x00 || chunk_index as 8-byte little-endian || chunk). The index
     salt is what makes chunk substitution detectable; the 0x00 prefix keeps
-    leaf preimages disjoint from internal-node preimages.
+    leaf preimages disjoint from internal-node preimages. This is the one
+    place a leaf preimage is built.
     """
-    return hashlib.sha256(_LEAF_HEAD.pack(0, chunk_index) + bytes(chunk)).digest()
+    sha256 = hashlib.sha256
+    head = _LEAF_HEAD.pack
+    return [sha256(head(0, i) + chunk).digest() for i, chunk in indexed_chunks]
 
 
 def locate(bit_index: int, params: BloomParams) -> tuple[int, int]:
@@ -46,6 +54,12 @@ def locate(bit_index: int, params: BloomParams) -> tuple[int, int]:
     All indexing is 0-based, globally and locally.
     """
     return divmod(bit_index, params.chunk_bits)
+
+
+def _chunk_set(positions: list[int], params: BloomParams) -> list[int]:
+    """The sorted, deduplicated chunk indices the bit positions land in."""
+    chunk_bits = params.chunk_bits
+    return sorted({i // chunk_bits for i in positions})
 
 
 class VerdictKind(enum.Enum):
@@ -136,20 +150,16 @@ def build(filt: BloomFilter) -> BloomTree:
     """Snapshot the filter, hash each chunk with its index, and build the tree.
 
     The tree keeps its own immutable copy of the filter bytes, so a later
-    insert into ``filt`` cannot desync the chunks from the root. The root is
-    a pure function of (params, filter bytes).
+    insert into ``filt`` cannot desync the chunks from the root. The root
+    depends only on the filter bytes and the chunk size; it does not commit
+    to ``k``, so a verifier must take the params from a trusted source, not
+    from a proof.
     """
     params = filt.params
     bits = bytes(filt.bits)
     size = params.chunk_size
-    sha256 = hashlib.sha256
-    head = _LEAF_HEAD.pack
-    leaves = [
-        sha256(head(0, i) + bits[start : start + size]).digest()
-        for i, start in enumerate(range(0, len(bits), size))
-    ]
-    tree = build_tree(leaves)
-    return BloomTree(filter=BloomFilter(params, bits), tree=tree)
+    chunks = (bits[start : start + size] for start in range(0, len(bits), size))
+    return BloomTree(filter=BloomFilter(params, bits), tree=build_tree(_leaf_hashes(enumerate(chunks))))
 
 
 def prove(bloom_tree: BloomTree, element: bytes) -> PresenceProof | AbsenceProof:
@@ -163,18 +173,17 @@ def prove(bloom_tree: BloomTree, element: bytes) -> PresenceProof | AbsenceProof
     params = bloom_tree.filter.params
     bits = bloom_tree.filter.bits
     size = params.chunk_size
-    chunk_bits = params.chunk_bits
     positions = indices(element, params)
     zeros = [i for i in positions if not bits[i >> 3] >> (i & 7) & 1]
     if zeros:
-        chunk_index = min(zeros) // chunk_bits
+        chunk_index, _ = locate(min(zeros), params)
         start = chunk_index * size
         return AbsenceProof(
             chunk_index=chunk_index,
             chunk=bits[start : start + size],
             path=tuple(prove_multi(bloom_tree.tree, [chunk_index])),
         )
-    chunk_indices = sorted({i // chunk_bits for i in positions})
+    chunk_indices = _chunk_set(positions, params)
     chunks = tuple([bits[c * size : c * size + size] for c in chunk_indices])
     multiproof = tuple(prove_multi(bloom_tree.tree, chunk_indices))
     return PresenceProof(chunk_indices=tuple(chunk_indices), chunks=chunks, multiproof=multiproof)
@@ -211,7 +220,7 @@ def verify(
             multiproof = list(proof.multiproof)
         except TypeError:
             return Verdict.invalid("malformed presence proof fields")
-        expected = sorted({i // chunk_bits for i in positions})
+        expected = _chunk_set(positions, params)
         if supplied != expected:
             # Exact equality: extraneous chunks are rejected, not just missing ones.
             return Verdict.invalid("chunk indices do not match the element's chunk set")
@@ -223,7 +232,7 @@ def verify(
                 return Verdict.invalid(f"chunk {chunk_index} is not exactly {size} bytes")
         zeros = _zero_bits(positions, claimed, params)
         if zeros:
-            chunk_index, local = divmod(min(zeros), chunk_bits)
+            chunk_index, local = locate(min(zeros), params)
             return Verdict.invalid(f"required bit {local} of chunk {chunk_index} is zero")
         if not _reconstructs(root, params, claimed, multiproof):
             return Verdict.invalid("multiproof does not reconstruct the root")
@@ -260,7 +269,5 @@ def _zero_bits(positions: list[int], claimed: dict[int, bytes], params: BloomPar
 
 def _reconstructs(root: bytes, params: BloomParams, claimed: dict[int, bytes], proof: list[Digest]) -> bool:
     """Hash each claimed chunk as the leaf at its index and check them all with one multiproof."""
-    sha256 = hashlib.sha256
-    head = _LEAF_HEAD.pack
-    entries = [(c, sha256(head(0, c) + chunk).digest()) for c, chunk in claimed.items()]
+    entries = list(zip(claimed, _leaf_hashes(claimed.items())))
     return verify_multi(root, entries, params.chunk_count, proof)

@@ -203,6 +203,13 @@ class TestProofCodec:
                 GOLDEN_PARAMS,
                 PresenceProof((0,), (GOLDEN_BITS,), (b"not 32 bytes",)),
             )
+        # Chunk indices outside [0, 2**64) do not fit the u64 field.
+        with pytest.raises(ValueError):
+            codec.encode_proof(GOLDEN_PARAMS, AbsenceProof(-1, bytes(8), ()))
+        with pytest.raises(ValueError):
+            codec.encode_proof(GOLDEN_PARAMS, PresenceProof((-1,), (GOLDEN_BITS,), ()))
+        with pytest.raises(ValueError):
+            codec.encode_proof(GOLDEN_PARAMS, AbsenceProof(2**64, bytes(8), ()))
         with pytest.raises(TypeError):
             codec.encode_proof(GOLDEN_PARAMS, "not a proof")
 
