@@ -6,7 +6,9 @@ import sys
 import pytest
 
 from bloomtree import codec
+from bloomtree.bloom import BloomFilter, derive_params
 from bloomtree.cli import main
+from bloomtree.tree import build
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
@@ -80,6 +82,31 @@ class TestBuild:
         assert run_cli("build", "--elements", str(empty), "--fpr", "0.1", "--chunk-size", "8", "--out", str(out)) == 0
         tree = codec.decode_filter(out.read_bytes())
         assert bytes(tree.filter.bits) == bytes(tree.filter.params.byte_length)
+
+    @pytest.mark.parametrize(
+        "content, elements",
+        [
+            (b"", []),
+            (b"\n", [b""]),
+            (b"a", [b"a"]),
+            (b"a\n", [b"a"]),
+            (b"a\nb", [b"a", b"b"]),
+            (b"a\nb\n", [b"a", b"b"]),
+            (b"a\n\nb\n", [b"a", b"", b"b"]),
+            (b"a\n\n", [b"a", b""]),
+            (b"a\r\nb\r\n", [b"a\r", b"b\r"]),
+        ],
+    )
+    def test_each_line_is_one_element(self, tmp_path, content, elements):
+        # The default capacity is the line count, so a miscount changes the params too.
+        path = tmp_path / "elements.txt"
+        path.write_bytes(content)
+        out = tmp_path / "f.blt"
+        assert run_cli("build", "--elements", str(path), "--fpr", "0.1", "--chunk-size", "8", "--out", str(out)) == 0
+        filt = BloomFilter(derive_params(max(1, len(elements)), 0.1, 8))
+        for element in elements:
+            filt.insert(element)
+        assert out.read_bytes() == codec.encode_filter(build(filt))
 
     def test_duplicate_lines_build_identical_filters(self, tmp_path):
         a = tmp_path / "a.txt"

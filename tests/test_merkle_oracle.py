@@ -105,6 +105,13 @@ def test_oracle_levels_match_the_tree():
     assert TREE.root == LEVELS[-1][0]
     for t, level in enumerate(LEVELS):
         assert b"".join(level) == TREE.levels[t]
+    # Every power-of-two leaf count up to 2^15, so the wide levels span several
+    # blocks of a build.
+    rng = random.Random("oracle-levels")
+    for count in (1 << e for e in range(16)):
+        blob = rng.randbytes(32 * count)
+        leaves = [blob[i : i + 32] for i in range(0, len(blob), 32)]
+        assert build_tree(leaves).levels == tuple(b"".join(level) for level in oracle_levels(leaves)), count
 
 
 @settings(max_examples=300, deadline=None)
