@@ -8,6 +8,7 @@ contents with --element-file); the library itself accepts arbitrary bytes.
 """
 
 import argparse
+import io
 import sys
 
 from . import codec
@@ -129,14 +130,16 @@ def _cmd_params(args) -> int:
 def _cmd_build(args) -> int:
     with open(args.elements, "rb") as handle:
         content = handle.read()
-    lines = content.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()  # file ended with a newline, not an extra empty element
-    n = args.n if args.n is not None else max(1, len(lines))
+    # One element per line, read in place rather than split into a list; a
+    # final newline ends the last line and starts no empty element.
+    lines = content.count(b"\n")
+    if content and not content.endswith(b"\n"):
+        lines += 1
+    n = args.n if args.n is not None else max(1, lines)
     params = derive_params(n, args.fpr, args.chunk_size)
     filt = BloomFilter(params)
-    for line in lines:
-        filt.insert(line)
+    for line in io.BytesIO(content):
+        filt.insert(line.removesuffix(b"\n"))
     bloom_tree = build(filt)
     with open(args.out, "wb") as handle:
         handle.write(codec.encode_filter(bloom_tree))

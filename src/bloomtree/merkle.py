@@ -19,13 +19,14 @@ so a one-leaf multiproof is the plain bottom-up sibling path.
 import hashlib
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 DIGEST_SIZE = 32
 
 Digest = bytes
 
 _NODE_PREFIX = b"\x01"
+_BLOCK_DIGESTS = 4096  # digests per block of a build, 128 KiB joined; see _in_blocks
 _DIGEST_TYPES = {bytes, bytearray}
 _INDEX_TYPES = {int}
 
@@ -42,7 +43,9 @@ class MerkleTree:
     levels[0] holds the 2^L leaves, levels[t] the 2^(L-t) nodes of level t,
     and the top level the single root. Each level is one contiguous buffer:
     node i of a level sits at bytes [32i, 32i + 32). Immutable after build;
-    safe to share across threads.
+    safe to share across threads. A build hashes each level in blocks and
+    holds, beyond the levels it returns, about one block of digest objects
+    (see build_tree).
     """
 
     levels: tuple[bytes, ...]
@@ -69,7 +72,15 @@ class MerkleTree:
 
 
 def build_tree(leaves: Sequence[Digest]) -> MerkleTree:
-    """Build a complete tree over a power-of-two number of leaf digests."""
+    """Build a complete tree over a power-of-two number of leaf digests.
+
+    Each level is hashed in blocks of 4,096 digests, and each block is joined
+    into bytes as soon as it is hashed. Beyond the leaves it is given and the
+    levels it returns, a build holds at most one block of digest objects
+    (about 0.3 MB) and the joined blocks of the level in progress. Those are
+    the size of the levels still to come plus one digest, so a build peaks
+    about one block above the finished tree.
+    """
     count = len(leaves)
     if count < 1 or count & (count - 1):
         raise ValueError(f"leaf count must be a power of two >= 1, got {count}")
@@ -81,13 +92,37 @@ def build_tree(leaves: Sequence[Digest]) -> MerkleTree:
         raise ValueError("leaves must be 32-byte digests") from None
     if len(level) != count * DIGEST_SIZE:
         raise ValueError("leaves must be 32-byte digests")
+    return _tree_over(level)
+
+
+def _tree_over(leaf_level: bytes) -> MerkleTree:
+    """The tree whose leaf level is ``leaf_level``, a power-of-two number of digests."""
+    levels = [leaf_level]
+    while len(levels[-1]) > DIGEST_SIZE:
+        levels.append(_parent_level(levels[-1]))
+    return MerkleTree(levels=tuple(levels))
+
+
+def _parent_level(level: bytes) -> bytes:
+    """The level above ``level``: one node_hash per pair of adjacent digests."""
     sha256 = hashlib.sha256
     pair = 2 * DIGEST_SIZE
-    levels = [level]
-    while len(level) > DIGEST_SIZE:
-        level = b"".join([sha256(_NODE_PREFIX + level[j : j + pair]).digest() for j in range(0, len(level), pair)])
-        levels.append(level)
-    return MerkleTree(levels=tuple(levels))
+
+    def parents(start: int, stop: int) -> list[Digest]:
+        return [sha256(_NODE_PREFIX + level[j : j + pair]).digest() for j in range(start * pair, stop * pair, pair)]
+
+    return _in_blocks(len(level) // pair, parents)
+
+
+def _in_blocks(count: int, digests: Callable[[int, int], list[Digest]]) -> bytes:
+    """Digests 0..count-1 as one buffer, where digests(start, stop) hashes start..stop-1.
+
+    Each block of at most _BLOCK_DIGESTS digests is joined as soon as it is
+    hashed, so one block's digest objects are alive at a time. One block is
+    returned as it is joined, without a second copy.
+    """
+    step = _BLOCK_DIGESTS
+    return b"".join([b"".join(digests(start, min(start + step, count))) for start in range(0, count, step)])
 
 
 def prove_single(tree: MerkleTree, leaf_index: int) -> list[Digest]:
@@ -160,10 +195,24 @@ def verify_multi(
     leftovers, duplicate or out-of-range indices all yield False, as does any
     other malformed input.
     """
+    try:
+        positions, nodes = zip(*leaf_entries, strict=True)
+    except (TypeError, ValueError):
+        return False
+    return _verify_leaves(root, positions, nodes, leaf_count, proof)
+
+
+def _verify_leaves(
+    root: Digest,
+    positions: Sequence[int],
+    nodes: Sequence[Digest],
+    leaf_count: int,
+    proof: Sequence[Digest],
+) -> bool:
+    """verify_multi with the leaf indices and their digests as two sequences of one length."""
     if not _is_power_of_two(leaf_count) or not _is_digest(root):
         return False
     try:
-        positions, nodes = zip(*leaf_entries, strict=True)
         proof = list(proof)
     except (TypeError, ValueError):
         return False

@@ -20,9 +20,10 @@ from .merkle import (
     DIGEST_SIZE,
     Digest,
     MerkleTree,
-    build_tree,
+    _in_blocks,
+    _tree_over,
+    _verify_leaves,
     prove_multi,
-    verify_multi,
 )
 
 # The head of a leaf preimage, 0x00 || chunk index as 8-byte little-endian,
@@ -154,12 +155,22 @@ def build(filt: BloomFilter) -> BloomTree:
     depends only on the filter bytes and the chunk size; it does not commit
     to ``k``, so a verifier must take the params from a trusted source, not
     from a proof.
+
+    Leaves and nodes are hashed in blocks as in merkle.build_tree: beyond
+    the filter bytes and the levels it returns, a build holds at most one
+    block of digest objects (about 0.3 MB) and the joined blocks of one
+    level, and peaks about one block above the finished tree.
     """
     params = filt.params
     bits = bytes(filt.bits)
     size = params.chunk_size
-    chunks = (bits[start : start + size] for start in range(0, len(bits), size))
-    return BloomTree(filter=BloomFilter(params, bits), tree=build_tree(_leaf_hashes(enumerate(chunks))))
+
+    def leaves(start: int, stop: int) -> list[Digest]:
+        chunks = (bits[offset : offset + size] for offset in range(start * size, stop * size, size))
+        return _leaf_hashes(zip(range(start, stop), chunks))
+
+    leaf_level = _in_blocks(params.chunk_count, leaves)
+    return BloomTree(filter=BloomFilter(params, bits), tree=_tree_over(leaf_level))
 
 
 def prove(bloom_tree: BloomTree, element: bytes) -> PresenceProof | AbsenceProof:
@@ -198,11 +209,14 @@ def verify(
     """Check a proof against a trusted root, holding nothing but (root, params).
 
     The verifier recomputes the element's bit positions itself; proofs carry
-    no index claims about the element. Every failure, a non-bytes element
-    included, returns an INVALID verdict with a reason, never an exception.
+    no index claims about the element. Every failure, a non-bytes element or
+    params that are not BloomParams included, returns an INVALID verdict
+    with a reason, never an exception.
     """
     if not isinstance(root, (bytes, bytearray)) or len(root) != DIGEST_SIZE:
         return Verdict.invalid("root must be a 32-byte digest")
+    if not isinstance(params, BloomParams):
+        return Verdict.invalid(f"params must be BloomParams, not {type(params).__name__}")
     root = bytes(root)
     try:
         positions = indices(element, params)
@@ -269,5 +283,4 @@ def _zero_bits(positions: list[int], claimed: dict[int, bytes], params: BloomPar
 
 def _reconstructs(root: bytes, params: BloomParams, claimed: dict[int, bytes], proof: list[Digest]) -> bool:
     """Hash each claimed chunk as the leaf at its index and check them all with one multiproof."""
-    entries = list(zip(claimed, _leaf_hashes(claimed.items())))
-    return verify_multi(root, entries, params.chunk_count, proof)
+    return _verify_leaves(root, list(claimed), _leaf_hashes(claimed.items()), params.chunk_count, proof)

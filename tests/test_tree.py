@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +128,20 @@ class TestBuild:
         bloom_tree, _, _ = populated_tree(seed=7)
         leaves = [leaf_hash(i, bloom_tree.filter.chunk(i)) for i in range(SMALL.chunk_count)]
         assert bloom_tree.root == build_tree(leaves).root
+
+    def test_build_holds_little_beyond_the_tree_it_returns(self):
+        # 2^16 chunks of 32 bytes: a 2 MiB leaf level. One digest object per
+        # leaf alone would take more than that.
+        params = BloomParams(m=2**16 * 32 * 8, k=7, chunk_size=32)
+        filt = BloomFilter(params, random.Random(25).randbytes(params.byte_length))
+        tracemalloc.start()
+        try:
+            bloom_tree = build(filt)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(bloom_tree.tree.levels[0]) == 2**21
+        assert peak - retained < len(bloom_tree.tree.levels[0])
 
 
 class TestProve:
@@ -346,10 +361,14 @@ class TestVerify:
         ],
     )
     def test_malformed_proofs_never_crash(self, junk):
-        bloom_tree, _, _ = populated_tree(seed=18)
-        verdict = verify(bloom_tree.root, SMALL, b"anything", junk)
-        assert verdict.kind is VerdictKind.INVALID
-        assert verdict.reason
+        bloom_tree, inserted, _ = populated_tree(seed=18)
+        honest = prove(bloom_tree, inserted[0])
+        for verdict in (
+            verify(bloom_tree.root, SMALL, b"anything", junk),
+            verify(bloom_tree.root, junk, inserted[0], honest),  # the junk as params
+        ):
+            assert verdict.kind is VerdictKind.INVALID
+            assert verdict.reason
 
     @pytest.mark.parametrize("element", ["text", None, 7, 1.5, ["b"]])
     def test_non_bytes_element_is_invalid_not_raise(self, element):
