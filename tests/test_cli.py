@@ -226,3 +226,31 @@ def test_module_invocation_smoke(tmp_path):
     )
     assert result.returncode == 0
     assert "chunks:" in result.stdout
+
+
+def run_module(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "bloomtree", *argv], capture_output=True, text=True, env=env)
+
+
+def test_process_round_trip_against_the_printed_root(tmp_path, elements_file):
+    filter_path = tmp_path / "filter.blt"
+    built = run_module(
+        "build", "--elements", str(elements_file), "--n", "200",
+        "--fpr", "0.01", "--chunk-size", "8", "--out", str(filter_path),
+    )
+    assert built.returncode == 0
+    root = built.stdout.removeprefix("root: ").strip()
+    assert root == codec.decode_filter(filter_path.read_bytes()).root.hex()
+    for element, kind, verdict in (("alpha", "presence", "MaybePresent"), ("omega", "absence", "DefinitelyAbsent")):
+        proof = tmp_path / f"{element}.proof"
+        proved = run_module("prove", "--filter", str(filter_path), "--element", element, "--out", str(proof))
+        assert (proved.returncode, proved.stdout.strip()) == (0, kind)
+        checked = run_module("verify", "--root", root, "--element", element, "--proof", str(proof))
+        assert (checked.returncode, checked.stdout.strip()) == (0, verdict)
+        blob = bytearray(proof.read_bytes())
+        blob[-1] ^= 0x01  # the last byte of the last digest
+        proof.write_bytes(bytes(blob))
+        tampered = run_module("verify", "--root", root, "--element", element, "--proof", str(proof))
+        assert tampered.returncode == 1
+        assert tampered.stdout.startswith("Invalid")

@@ -1,6 +1,7 @@
 import random
 import struct
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,31 @@ class TestProofCodec:
         blob = header + struct.pack("<H", 0xFFFF)
         with pytest.raises(codec.TruncatedPayload):
             codec.decode_proof(blob)
+
+    def test_empty_presence_proof_round_trips(self):
+        proof = PresenceProof(chunk_indices=(), chunks=(), multiproof=())
+        blob = codec.encode_proof(GOLDEN_PARAMS, proof)
+        assert len(blob) == 22 + 2 + 2
+        assert codec.decode_proof(blob) == (GOLDEN_PARAMS, proof)
+
+    def test_declared_counts_leave_bounded_memory(self):
+        # Every declared count is backed by its digests, so each proof decodes.
+        # One layout of 65,535 digests alone would keep about 2.3 MB.
+        counts = [0xFFFF, 0xFFFE, 0xBFFF, 0x7FFF, *range(1, 197)]
+        head = codec.PROOF_MAGIC + bytes([codec.VERSION, codec.ABSENCE_KIND])
+        head += struct.pack("<QII", 64, 2, 8) + struct.pack("<Q", 0) + GOLDEN_BITS
+        digests = bytes(range(32)) * 0xFFFF
+        tracemalloc.start()
+        try:
+            for count in counts:
+                _, proof = codec.decode_proof(head + struct.pack("<H", count) + digests[: 32 * count])
+                assert len(proof.path) == count
+                assert proof.path[-1] == bytes(range(32))
+            del proof
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**20
 
     def test_encoder_rejects_malformed_values(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -142,6 +143,41 @@ class TestBuild:
             tracemalloc.stop()
         assert len(bloom_tree.tree.levels[0]) == 2**21
         assert peak - retained < len(bloom_tree.tree.levels[0])
+
+    @pytest.mark.parametrize(
+        "chunk_size, chunk_count",
+        [(size, count) for size in (1, 3, 24) for count in (1, 2, 2**13)]
+        + [(65536, count) for count in (1, 2, 8)],
+    )
+    def test_levels_match_a_hashlib_oracle(self, chunk_size, chunk_count):
+        # The largest counts span several blocks of a build, whether blocks are
+        # bounded in digests or in bytes.
+        params = BloomParams(m=chunk_count * chunk_size * 8, k=3, chunk_size=chunk_size)
+        bits = random.Random(f"oracle-{chunk_size}-{chunk_count}").randbytes(params.byte_length)
+        level = [
+            hashlib.sha256(b"\x00" + i.to_bytes(8, "little") + bits[i * chunk_size : (i + 1) * chunk_size]).digest()
+            for i in range(chunk_count)
+        ]
+        expected = [b"".join(level)]
+        while len(level) > 1:
+            level = [hashlib.sha256(b"\x01" + level[j] + level[j + 1]).digest() for j in range(0, len(level), 2)]
+            expected.append(b"".join(level))
+        bloom_tree = build(BloomFilter(params, bits))
+        assert bloom_tree.tree.levels == tuple(expected)
+        assert bloom_tree.root == level[0]
+
+    def test_build_of_large_chunks_holds_little_beyond_the_tree(self):
+        # 64 chunks of 64 KiB: a block of many such chunks would hold MiBs.
+        params = BloomParams(m=64 * 65536 * 8, k=3, chunk_size=65536)
+        filt = BloomFilter(params, random.Random(26).randbytes(params.byte_length))
+        tracemalloc.start()
+        try:
+            bloom_tree = build(filt)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bloom_tree.tree.leaf_count == 64
+        assert peak - retained < 2**20
 
 
 class TestProve:
