@@ -8,7 +8,6 @@ contents with --element-file); the library itself accepts arbitrary bytes.
 """
 
 import argparse
-import io
 import sys
 
 from . import codec
@@ -128,18 +127,16 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    # Two passes over the open file, one line at a time: count the lines for
+    # the default capacity, then insert. A final newline ends the last line
+    # and starts no empty element.
     with open(args.elements, "rb") as handle:
-        content = handle.read()
-    # One element per line, read in place rather than split into a list; a
-    # final newline ends the last line and starts no empty element.
-    lines = content.count(b"\n")
-    if content and not content.endswith(b"\n"):
-        lines += 1
-    n = args.n if args.n is not None else max(1, lines)
-    params = derive_params(n, args.fpr, args.chunk_size)
-    filt = BloomFilter(params)
-    for line in io.BytesIO(content):
-        filt.insert(line.removesuffix(b"\n"))
+        lines = sum(1 for _ in handle)
+        n = args.n if args.n is not None else max(1, lines)
+        filt = BloomFilter(derive_params(n, args.fpr, args.chunk_size))
+        handle.seek(0)
+        for line in handle:
+            filt.insert(line.removesuffix(b"\n"))
     bloom_tree = build(filt)
     with open(args.out, "wb") as handle:
         handle.write(codec.encode_filter(bloom_tree))

@@ -24,10 +24,11 @@ against the remaining input before anything is sliced out.
 """
 
 import struct
+from itertools import chain
 from typing import Union
 
 from .bloom import BloomFilter, BloomParams
-from .merkle import DIGEST_SIZE
+from .merkle import _BLOCK_FIELDS, DIGEST_SIZE, _blocks, _layout
 from .tree import AbsenceProof, BloomTree, PresenceProof, build
 
 FILTER_MAGIC = b"BLTR"
@@ -173,7 +174,7 @@ def decode_proof(data: bytes) -> tuple[BloomParams, Proof]:
     size = params.chunk_size
     if kind == PRESENCE_KIND:
         (count,) = reader.read(_COUNT)
-        chunk_indices = reader.read(struct.Struct(f"<{count}Q"))
+        chunk_indices = struct.unpack(f"<{count}Q", reader.take(_INDEX.size * count))
         chunks = _split(reader.take(size * count), size)
         return params, PresenceProof(chunk_indices=chunk_indices, chunks=chunks, multiproof=_read_digests(reader))
     if kind == ABSENCE_KIND:
@@ -192,7 +193,16 @@ def _read_digests(reader: _Reader) -> tuple[bytes, ...]:
 
 
 def _split(section: bytes, width: int) -> tuple[bytes, ...]:
-    return tuple([section[i : i + width] for i in range(0, len(section), width)])
+    """``section`` cut into ``width``-byte fields, one C-level unpack per block of fields.
+
+    A section of up to _BLOCK_FIELDS fields takes one unpack; a longer one is
+    cut block by block, so no layout a proof's counts call for holds more
+    than _BLOCK_FIELDS fields.
+    """
+    count = len(section) // width
+    if count <= _BLOCK_FIELDS:
+        return _layout(count, width).unpack(section)
+    return tuple(chain.from_iterable(fields for _, fields in _blocks(section, width)))
 
 
 def _pack_params(params: BloomParams) -> bytes:

@@ -16,17 +16,22 @@ narrowed to one node, the rest of the schedule is that node's sibling path,
 so a one-leaf multiproof is the plain bottom-up sibling path.
 """
 
+import functools
 import hashlib
 import operator
+import struct
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 DIGEST_SIZE = 32
 
 Digest = bytes
 
 _NODE_PREFIX = b"\x01"
-_BLOCK_DIGESTS = 4096  # digests per block of a build, 128 KiB joined; see _in_blocks
+# A block is at most _BLOCK_FIELDS fields and at most _BLOCK_BYTES bytes; see _blocks.
+_BLOCK_FIELDS = 256
+_BLOCK_BYTES = 64 * 1024
+_LAYOUTS_KEPT = 128  # a layout keeps about 35 bytes per field: at most about 1.2 MB in all
 _DIGEST_TYPES = {bytes, bytearray}
 _INDEX_TYPES = {int}
 
@@ -43,9 +48,9 @@ class MerkleTree:
     levels[0] holds the 2^L leaves, levels[t] the 2^(L-t) nodes of level t,
     and the top level the single root. Each level is one contiguous buffer:
     node i of a level sits at bytes [32i, 32i + 32). Immutable after build;
-    safe to share across threads. A build hashes each level in blocks and
-    holds, beyond the levels it returns, about one block of digest objects
-    (see build_tree).
+    safe to share across threads. A build hashes each level in blocks of at
+    most 256 fields and 64 KiB and holds, beyond the levels it returns, about
+    one block of field, preimage and digest objects (see build_tree).
     """
 
     levels: tuple[bytes, ...]
@@ -74,12 +79,14 @@ class MerkleTree:
 def build_tree(leaves: Sequence[Digest]) -> MerkleTree:
     """Build a complete tree over a power-of-two number of leaf digests.
 
-    Each level is hashed in blocks of 4,096 digests, and each block is joined
-    into bytes as soon as it is hashed. Beyond the leaves it is given and the
-    levels it returns, a build holds at most one block of digest objects
-    (about 0.3 MB) and the joined blocks of the level in progress. Those are
-    the size of the levels still to come plus one digest, so a build peaks
-    about one block above the finished tree.
+    The leaves are joined into one buffer first, which briefly takes about
+    48 bytes per leaf beyond the two copies. Each level above is hashed in
+    blocks of 256 pairs (16 KiB), each cut by one C-level unpack, and each
+    block is joined into bytes as soon as it is hashed: beyond the levels,
+    the level pass holds at most one block of pair, preimage and digest
+    objects (under 0.1 MB) and the joined blocks of the level in progress.
+    Those are the size of the levels still to come plus one digest, so it
+    peaks about one block above the finished tree.
     """
     count = len(leaves)
     if count < 1 or count & (count - 1):
@@ -106,23 +113,44 @@ def _tree_over(leaf_level: bytes) -> MerkleTree:
 def _parent_level(level: bytes) -> bytes:
     """The level above ``level``: one node_hash per pair of adjacent digests."""
     sha256 = hashlib.sha256
-    pair = 2 * DIGEST_SIZE
+    prefix = _NODE_PREFIX
 
-    def parents(start: int, stop: int) -> list[Digest]:
-        return [sha256(_NODE_PREFIX + level[j : j + pair]).digest() for j in range(start * pair, stop * pair, pair)]
+    def parents(start: int, pairs: tuple[bytes, ...]) -> list[Digest]:
+        preimages = _layout(len(pairs), 1 + 2 * DIGEST_SIZE).unpack(prefix + prefix.join(pairs))
+        return [sha256(preimage).digest() for preimage in preimages]
 
-    return _in_blocks(len(level) // pair, parents)
+    return _in_blocks(level, 2 * DIGEST_SIZE, parents)
 
 
-def _in_blocks(count: int, digests: Callable[[int, int], list[Digest]]) -> bytes:
-    """Digests 0..count-1 as one buffer, where digests(start, stop) hashes start..stop-1.
+def _in_blocks(buffer: bytes, width: int, digests: Callable[[int, tuple[bytes, ...]], list[Digest]]) -> bytes:
+    """One buffer of the digests of ``buffer``'s ``width``-byte fields, hashed one block at a time.
 
-    Each block of at most _BLOCK_DIGESTS digests is joined as soon as it is
-    hashed, so one block's digest objects are alive at a time. One block is
-    returned as it is joined, without a second copy.
+    digests(start, fields) hashes the block of fields that begins at field
+    ``start``. Each block's digests are joined as soon as they are hashed, so
+    one block of fields and of digest objects is alive at a time. One block
+    is returned as it is joined, without a second copy.
     """
-    step = _BLOCK_DIGESTS
-    return b"".join([b"".join(digests(start, min(start + step, count))) for start in range(0, count, step)])
+    return b"".join([b"".join(digests(start, fields)) for start, fields in _blocks(buffer, width)])
+
+
+def _blocks(buffer: bytes, width: int) -> Iterator[tuple[int, tuple[bytes, ...]]]:
+    """``buffer`` cut into ``width``-byte fields: (index of the first field, fields) per block.
+
+    Each block is cut by one C-level unpack_from, not by a slice per field.
+    A block holds at most _BLOCK_FIELDS fields, so its layout stays small,
+    and at most _BLOCK_BYTES bytes (one field, if a field is larger), so
+    large chunks are not all copied out at once.
+    """
+    count = len(buffer) // width
+    step = max(1, min(_BLOCK_FIELDS, _BLOCK_BYTES // width))
+    for start in range(0, count, step):
+        yield start, _layout(min(step, count - start), width).unpack_from(buffer, start * width)
+
+
+@functools.lru_cache(maxsize=_LAYOUTS_KEPT)
+def _layout(count: int, width: int) -> struct.Struct:
+    """The layout of ``count`` adjacent ``width``-byte fields, compiled once per (count, width)."""
+    return struct.Struct(count * f"{width}s")
 
 
 def prove_single(tree: MerkleTree, leaf_index: int) -> list[Digest]:

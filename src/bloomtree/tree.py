@@ -156,20 +156,16 @@ def build(filt: BloomFilter) -> BloomTree:
     to ``k``, so a verifier must take the params from a trusted source, not
     from a proof.
 
-    Leaves and nodes are hashed in blocks as in merkle.build_tree: beyond
-    the filter bytes and the levels it returns, a build holds at most one
-    block of digest objects (about 0.3 MB) and the joined blocks of one
+    Leaves are hashed in blocks of at most 256 chunks and 64 KiB, each cut
+    from the filter bytes by one C-level unpack, and nodes as in
+    merkle.build_tree: beyond the filter bytes and the levels it returns, a
+    build holds at most one block of chunk, preimage and digest objects
+    (under 0.2 MB, at the largest chunk size) and the joined blocks of one
     level, and peaks about one block above the finished tree.
     """
     params = filt.params
     bits = bytes(filt.bits)
-    size = params.chunk_size
-
-    def leaves(start: int, stop: int) -> list[Digest]:
-        chunks = (bits[offset : offset + size] for offset in range(start * size, stop * size, size))
-        return _leaf_hashes(zip(range(start, stop), chunks))
-
-    leaf_level = _in_blocks(params.chunk_count, leaves)
+    leaf_level = _in_blocks(bits, params.chunk_size, lambda start, chunks: _leaf_hashes(enumerate(chunks, start)))
     return BloomTree(filter=BloomFilter(params, bits), tree=_tree_over(leaf_level))
 
 
