@@ -63,7 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build a filter from newline-delimited elements and write a filter file")
     p.add_argument("--elements", required=True, help="UTF-8 file, one element per line")
-    p.add_argument("--n", type=int, default=None, help="capacity to size for (default: number of lines, min 1)")
+    p.add_argument(
+        "--n", type=int, default=None,
+        help="capacity to size for (default: number of lines, min 1, which needs a seekable file)",
+    )
     p.add_argument("--fpr", type=float, required=True)
     p.add_argument("--chunk-size", type=int, required=True)
     p.add_argument("--out", required=True, help="output filter file")
@@ -127,14 +130,15 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    # Two passes over the open file, one line at a time: count the lines for
-    # the default capacity, then insert. A final newline ends the last line
+    # One line at a time: a first pass counts the lines when the capacity
+    # defaults to it, then a pass inserts. A final newline ends the last line
     # and starts no empty element.
     with open(args.elements, "rb") as handle:
-        lines = sum(1 for _ in handle)
-        n = args.n if args.n is not None else max(1, lines)
+        n = args.n
+        if n is None:
+            n = max(1, sum(1 for _ in handle))
+            handle.seek(0)
         filt = BloomFilter(derive_params(n, args.fpr, args.chunk_size))
-        handle.seek(0)
         for line in handle:
             filt.insert(line.removesuffix(b"\n"))
     bloom_tree = build(filt)

@@ -228,9 +228,11 @@ def test_module_invocation_smoke(tmp_path):
     assert "chunks:" in result.stdout
 
 
-def run_module(*argv):
+def run_module(*argv, stdin=None):
     env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run([sys.executable, "-m", "bloomtree", *argv], capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, "-m", "bloomtree", *argv], input=stdin, capture_output=True, text=True, env=env
+    )
 
 
 def test_process_round_trip_against_the_printed_root(tmp_path, elements_file):
@@ -254,3 +256,19 @@ def test_process_round_trip_against_the_printed_root(tmp_path, elements_file):
         tampered = run_module("verify", "--root", root, "--element", element, "--proof", str(proof))
         assert tampered.returncode == 1
         assert tampered.stdout.startswith("Invalid")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_build_reads_a_pipe_when_the_capacity_is_given(tmp_path, elements_file):
+    # Counting the lines for the default capacity needs a second pass, which a
+    # pipe cannot give; with --n there is one pass.
+    build = ("build", "--fpr", "0.01", "--chunk-size", "8")
+    from_file = run_module(*build, "--n", "200", "--elements", str(elements_file), "--out", str(tmp_path / "f.blt"))
+    piped = run_module(
+        *build, "--n", "200", "--elements", "/dev/stdin", "--out", str(tmp_path / "p.blt"),
+        stdin=elements_file.read_text(encoding="utf-8"),
+    )
+    assert (piped.returncode, piped.stdout) == (0, from_file.stdout)
+    assert (tmp_path / "p.blt").read_bytes() == (tmp_path / "f.blt").read_bytes()
+    uncounted = run_module(*build, "--elements", "/dev/stdin", "--out", str(tmp_path / "u.blt"), stdin="a\n")
+    assert uncounted.returncode == 3

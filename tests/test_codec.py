@@ -204,8 +204,9 @@ class TestProofCodec:
 
     def test_declared_counts_leave_bounded_memory(self):
         # Every declared count is backed by its digests, so each proof decodes.
-        # One layout of 65,535 digests alone would keep about 2.3 MB.
-        counts = [0xFFFF, 0xFFFE, 0xBFFF, 0x7FFF, *range(1, 197)]
+        # One layout of 65,535 digests alone would keep about 2.3 MB; the
+        # largest counts come last, so a cache that drops old layouts keeps them.
+        counts = [*range(1, 197), 0x7FFF, 0xBFFF, 0xFFFE, 0xFFFF]
         head = codec.PROOF_MAGIC + bytes([codec.VERSION, codec.ABSENCE_KIND])
         head += struct.pack("<QII", 64, 2, 8) + struct.pack("<Q", 0) + GOLDEN_BITS
         digests = bytes(range(32)) * 0xFFFF
@@ -220,6 +221,22 @@ class TestProofCodec:
         finally:
             tracemalloc.stop()
         assert retained < 2**20
+
+    def test_declared_chunk_sizes_leave_bounded_memory(self):
+        # 400 chunk sizes, each a distinct layout of up to 256 chunks: about
+        # 3.8 MB if every layout were kept.
+        tracemalloc.start()
+        try:
+            for size in range(1, 401):
+                head = codec.PROOF_MAGIC + bytes([codec.VERSION, codec.PRESENCE_KIND])
+                head += struct.pack("<QII", 8 * size, 2, size) + struct.pack("<H", 256) + bytes(8 * 256)
+                _, proof = codec.decode_proof(head + bytes(size * 256) + struct.pack("<H", 0))
+                assert proof.chunks == (bytes(size),) * 256
+            del proof
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 2 * 2**20
 
     def test_encoder_rejects_malformed_values(self):
         with pytest.raises(ValueError):
