@@ -79,14 +79,14 @@ class MerkleTree:
 def build_tree(leaves: Sequence[Digest]) -> MerkleTree:
     """Build a complete tree over a power-of-two number of leaf digests.
 
-    The leaves are joined into one buffer first, which briefly takes about
-    48 bytes per leaf beyond the two copies. Each level above is hashed in
-    blocks of 256 pairs (16 KiB), each cut by one C-level unpack, and each
-    block is joined into bytes as soon as it is hashed: beyond the levels,
-    the level pass holds at most one block of pair, preimage and digest
-    objects (under 0.1 MB) and the joined blocks of the level in progress.
-    Those are the size of the levels still to come plus one digest, so it
-    peaks about one block above the finished tree.
+    The leaves are joined into one buffer first, a join that briefly takes
+    about 48 bytes per leaf on top of both copies. Each level above is
+    hashed in blocks of 256 pairs (16 KiB), each cut by one C-level unpack,
+    and each block is joined into bytes as soon as it is hashed: beyond the
+    levels, the level pass holds at most one block of pair, preimage and
+    digest objects (under 0.1 MB) and the joined blocks of the level in
+    progress. Those are the size of the levels still to come plus one
+    digest, so it peaks about one block above the finished tree.
     """
     count = len(leaves)
     if count < 1 or count & (count - 1):
@@ -138,11 +138,11 @@ def _blocks(buffer: bytes, width: int) -> Iterator[tuple[int, tuple[bytes, ...]]
 
     Each block is cut by one C-level unpack_from, not by a slice per field.
     A block holds at most _BLOCK_FIELDS fields, so its layout stays small,
-    and at most _BLOCK_BYTES bytes (one field, if a field is larger), so
-    large chunks are not all copied out at once.
+    and at most _BLOCK_BYTES bytes, so large chunks are not all copied out at
+    once. ``width`` is at most _BLOCK_BYTES, the largest chunk size.
     """
     count = len(buffer) // width
-    step = max(1, min(_BLOCK_FIELDS, _BLOCK_BYTES // width))
+    step = min(_BLOCK_FIELDS, _BLOCK_BYTES // width)
     for start in range(0, count, step):
         yield start, _layout(min(step, count - start), width).unpack_from(buffer, start * width)
 

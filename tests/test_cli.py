@@ -17,6 +17,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def run_module(*argv, stdin=None):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-m", "bloomtree", *argv], input=stdin, capture_output=True, text=True, env=env
+    )
+
+
 @pytest.fixture
 def elements_file(tmp_path):
     path = tmp_path / "elements.txt"
@@ -217,22 +224,9 @@ class TestExperiment:
 
 
 def test_module_invocation_smoke(tmp_path):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    result = subprocess.run(
-        [sys.executable, "-m", "bloomtree", "params", "--n", "1000", "--fpr", "0.1", "--chunk-size", "8"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    result = run_module("params", "--n", "1000", "--fpr", "0.1", "--chunk-size", "8")
     assert result.returncode == 0
     assert "chunks:" in result.stdout
-
-
-def run_module(*argv, stdin=None):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run(
-        [sys.executable, "-m", "bloomtree", *argv], input=stdin, capture_output=True, text=True, env=env
-    )
 
 
 def test_process_round_trip_against_the_printed_root(tmp_path, elements_file):
