@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import tracemalloc
@@ -405,6 +406,35 @@ class TestVerify:
         ):
             assert verdict.kind is VerdictKind.INVALID
             assert verdict.reason
+
+    def test_junk_digests_in_an_honest_proof_are_invalid(self):
+        # The chunks match the element, so each junk digest reaches the root
+        # reconstruction; only the proof's own digests are checked there.
+        class Digest(bytes):
+            pass
+
+        bloom_tree, inserted, rng = populated_tree(PARAMS_32, count=2000, seed=26)
+        params = bloom_tree.filter.params
+        absent = next(e for e in iter(lambda: rng.randbytes(13), None) if not bloom_tree.filter.contains(e))
+        cases = [
+            (inserted[0], "multiproof", VerdictKind.MAYBE_PRESENT, "multiproof does not reconstruct the root"),
+            (absent, "path", VerdictKind.DEFINITELY_ABSENT, "path does not reconstruct the root"),
+        ]
+        for element, field, kind, reason in cases:
+            honest = prove(bloom_tree, element)
+            digests = getattr(honest, field)
+            assert digests
+            for position in range(len(digests)):
+                for junk in (None, 7, "x" * 32, b"\x00" * 31, b"\x00" * 33):
+                    tampered = list(digests)
+                    tampered[position] = junk
+                    proof = dataclasses.replace(honest, **{field: tuple(tampered)})
+                    verdict = verify(bloom_tree.root, params, element, proof)
+                    assert verdict.kind is VerdictKind.INVALID, (field, position, junk)
+                    assert verdict.reason == reason
+            for convert in (bytearray, Digest):
+                proof = dataclasses.replace(honest, **{field: tuple(map(convert, digests))})
+                assert verify(bloom_tree.root, params, element, proof).kind is kind
 
     @pytest.mark.parametrize("element", ["text", None, 7, 1.5, ["b"]])
     def test_non_bytes_element_is_invalid_not_raise(self, element):
