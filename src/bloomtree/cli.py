@@ -23,7 +23,7 @@ from .experiment import (
     run_grid,
     write_csv,
 )
-from .tree import AbsenceProof, Verdict, build, prove, verify
+from .tree import AbsenceProof, BloomTree, Verdict, build, prove, verify
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -36,10 +36,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except codec.CodecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (codec.CodecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
@@ -112,6 +109,11 @@ def _add_element_flags(parser) -> None:
     group.add_argument("--element-file", help="file whose exact bytes are the element")
 
 
+def _load_filter(path: str) -> BloomTree:
+    with open(path, "rb") as handle:
+        return codec.decode_filter(handle.read())
+
+
 def _element_bytes(args) -> bytes:
     if args.element is not None:
         return args.element.encode("utf-8")
@@ -149,8 +151,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_prove(args) -> int:
-    with open(args.filter, "rb") as handle:
-        bloom_tree = codec.decode_filter(handle.read())
+    bloom_tree = _load_filter(args.filter)
     proof = prove(bloom_tree, _element_bytes(args))
     with open(args.out, "wb") as handle:
         handle.write(codec.encode_proof(bloom_tree.filter.params, proof))
@@ -162,8 +163,7 @@ def _cmd_verify(args) -> int:
     with open(args.proof, "rb") as handle:
         echoed_params, proof = codec.decode_proof(handle.read())
     if args.filter is not None:
-        with open(args.filter, "rb") as handle:
-            bloom_tree = codec.decode_filter(handle.read())
+        bloom_tree = _load_filter(args.filter)
         root = bloom_tree.root
         params = bloom_tree.filter.params
         if echoed_params != params:
@@ -190,9 +190,7 @@ def _parse_root(text: str) -> bytes:
 
 
 def _cmd_root(args) -> int:
-    with open(args.filter, "rb") as handle:
-        bloom_tree = codec.decode_filter(handle.read())
-    print(bloom_tree.root.hex())
+    print(_load_filter(args.filter).root.hex())
     return EXIT_OK
 
 

@@ -33,7 +33,6 @@ _BLOCK_FIELDS = 256
 _BLOCK_BYTES = 64 * 1024
 _LAYOUTS_KEPT = 128  # a layout keeps about 35 bytes per field: at most about 1.2 MB in all
 _DIGEST_TYPES = {bytes, bytearray}
-_INDEX_TYPES = {int}
 
 
 def node_hash(left: Digest, right: Digest) -> Digest:
@@ -48,9 +47,8 @@ class MerkleTree:
     levels[0] holds the 2^L leaves, levels[t] the 2^(L-t) nodes of level t,
     and the top level the single root. Each level is one contiguous buffer:
     node i of a level sits at bytes [32i, 32i + 32). Immutable after build;
-    safe to share across threads. A build hashes each level in blocks of at
-    most 256 fields and 64 KiB and holds, beyond the levels it returns, about
-    one block of field, preimage and digest objects (see build_tree).
+    safe to share across threads. A build hashes each level in blocks; see
+    _blocks for what it holds beyond the levels.
     """
 
     levels: tuple[bytes, ...]
@@ -81,12 +79,7 @@ def build_tree(leaves: Sequence[Digest]) -> MerkleTree:
 
     The leaves are joined into one buffer first, a join that briefly takes
     about 48 bytes per leaf on top of both copies. Each level above is
-    hashed in blocks of 256 pairs (16 KiB), each cut by one C-level unpack,
-    and each block is joined into bytes as soon as it is hashed: beyond the
-    levels, the level pass holds at most one block of pair, preimage and
-    digest objects (under 0.1 MB) and the joined blocks of the level in
-    progress. Those are the size of the levels still to come plus one
-    digest, so it peaks about one block above the finished tree.
+    hashed in blocks of digest pairs; see _blocks for what that holds.
     """
     count = len(leaves)
     if count < 1 or count & (count - 1):
@@ -140,6 +133,15 @@ def _blocks(buffer: bytes, width: int) -> Iterator[tuple[int, tuple[bytes, ...]]
     A block holds at most _BLOCK_FIELDS fields, so its layout stays small,
     and at most _BLOCK_BYTES bytes, so large chunks are not all copied out at
     once. ``width`` is at most _BLOCK_BYTES, the largest chunk size.
+
+    This is the memory bound of a build. The leaf pass of tree.build and
+    each level pass of build_tree hash one block at a time through
+    _in_blocks and join its digests at once, so beyond the tree they return
+    they hold one block of field, preimage and digest objects (under 0.2 MB
+    at the largest chunk size, under 0.1 MB for a block of digest pairs) and
+    the joined blocks of the level in progress. Those are the size of the
+    levels still to come, so a build peaks about one block above the
+    finished tree.
     """
     count = len(buffer) // width
     step = min(_BLOCK_FIELDS, _BLOCK_BYTES // width)
@@ -181,8 +183,12 @@ def prove_multi(tree: MerkleTree, leaf_indices: Sequence[int]) -> list[Digest]:
     known = list(leaf_indices)
     if not _are_leaf_indices(known, tree.leaf_count):
         raise ValueError(f"leaf indices must be strictly increasing ints in [0, {tree.leaf_count})")
+    return _prove(tree.levels, known)
+
+
+def _prove(levels: tuple[bytes, ...], known: list[int]) -> list[Digest]:
+    """prove_multi over a tree's levels, for leaf indices its caller has checked."""
     size = DIGEST_SIZE
-    levels = tree.levels
     proof = []
     send, unsend = proof.append, proof.pop
     t = 0
@@ -225,33 +231,37 @@ def verify_multi(
     """
     try:
         positions, nodes = zip(*leaf_entries, strict=True)
+        proof = list(proof)
     except (TypeError, ValueError):
         return False
-    return _verify_leaves(root, positions, nodes, leaf_count, proof)
+    if not _is_power_of_two(leaf_count) or not _is_digest(root):
+        return False
+    if not _are_leaf_indices(positions, leaf_count) or not _all_digests(nodes):
+        return False
+    return _verify_leaves(root, positions, nodes, leaf_count.bit_length() - 1, proof)
 
 
 def _verify_leaves(
     root: Digest,
     positions: Sequence[int],
     nodes: Sequence[Digest],
-    leaf_count: int,
-    proof: Sequence[Digest],
+    depth: int,
+    proof: list[Digest],
 ) -> bool:
-    """verify_multi with the leaf indices and their digests as two sequences of one length."""
-    if not _is_power_of_two(leaf_count) or not _is_digest(root):
-        return False
-    try:
-        proof = list(proof)
-    except (TypeError, ValueError):
-        return False
-    if not _are_leaf_indices(positions, leaf_count) or not _all_digests((*nodes, *proof)):
+    """verify_multi for leaves its caller has checked, in a tree of 2**depth leaves.
+
+    The caller vouches for the root and for the leaves: a non-empty, strictly
+    increasing run of in-range int positions and one digest each. Only the
+    proof's digests, which nobody vouched for, are checked here.
+    """
+    if not _all_digests(proof):
         return False
 
     sha256 = hashlib.sha256
     prefix = _NODE_PREFIX
     available = len(proof)
     cursor = 0
-    levels_left = leaf_count.bit_length() - 1
+    levels_left = depth
     # Distinct in-range positions narrow to one node by the root level at the latest.
     while len(positions) > 1:
         count = len(positions)
@@ -303,9 +313,6 @@ def _all_digests(values: Sequence) -> bool:
 
 def _are_leaf_indices(indices: Sequence[int], leaf_count: int) -> bool:
     """A non-empty, strictly increasing run of ints (bools excluded) in [0, leaf_count)."""
-    if len(indices) == 1 and type(indices[0]) is int:  # every absence proof: skip the set and the slice
-        return 0 <= indices[0] < leaf_count
-    if set(map(type, indices)) != _INDEX_TYPES:  # empty, or subclasses: take the slow path
-        if not indices or not all(isinstance(i, int) and not isinstance(i, bool) for i in indices):
-            return False
+    if not indices or not all(isinstance(i, int) and not isinstance(i, bool) for i in indices):
+        return False
     return 0 <= indices[0] and indices[-1] < leaf_count and all(map(operator.lt, indices, indices[1:]))

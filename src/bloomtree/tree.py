@@ -21,9 +21,9 @@ from .merkle import (
     Digest,
     MerkleTree,
     _in_blocks,
+    _prove,
     _tree_over,
     _verify_leaves,
-    prove_multi,
 )
 
 # The head of a leaf preimage, 0x00 || chunk index as 8-byte little-endian,
@@ -156,12 +156,9 @@ def build(filt: BloomFilter) -> BloomTree:
     to ``k``, so a verifier must take the params from a trusted source, not
     from a proof.
 
-    Leaves are hashed in blocks of at most 256 chunks and 64 KiB, each cut
-    from the filter bytes by one C-level unpack, and nodes as in
-    merkle.build_tree: beyond the filter bytes and the levels it returns, a
-    build holds at most one block of chunk, preimage and digest objects
-    (under 0.2 MB, at the largest chunk size) and the joined blocks of one
-    level, and peaks about one block above the finished tree.
+    Leaves are hashed in blocks of chunks cut from the filter bytes, and
+    nodes as in merkle.build_tree; see merkle._blocks for what a build holds
+    beyond the filter bytes and the levels it returns.
     """
     params = filt.params
     bits = bytes(filt.bits)
@@ -188,11 +185,11 @@ def prove(bloom_tree: BloomTree, element: bytes) -> PresenceProof | AbsenceProof
         return AbsenceProof(
             chunk_index=chunk_index,
             chunk=bits[start : start + size],
-            path=tuple(prove_multi(bloom_tree.tree, [chunk_index])),
+            path=tuple(_prove(bloom_tree.tree.levels, [chunk_index])),
         )
     chunk_indices = _chunk_set(positions, params)
     chunks = tuple([bits[c * size : c * size + size] for c in chunk_indices])
-    multiproof = tuple(prove_multi(bloom_tree.tree, chunk_indices))
+    multiproof = tuple(_prove(bloom_tree.tree.levels, chunk_indices))
     return PresenceProof(chunk_indices=tuple(chunk_indices), chunks=chunks, multiproof=multiproof)
 
 
@@ -279,4 +276,4 @@ def _zero_bits(positions: list[int], claimed: dict[int, bytes], params: BloomPar
 
 def _reconstructs(root: bytes, params: BloomParams, claimed: dict[int, bytes], proof: list[Digest]) -> bool:
     """Hash each claimed chunk as the leaf at its index and check them all with one multiproof."""
-    return _verify_leaves(root, list(claimed), _leaf_hashes(claimed.items()), params.chunk_count, proof)
+    return _verify_leaves(root, list(claimed), _leaf_hashes(claimed.items()), params.depth, proof)
