@@ -32,14 +32,29 @@ def reference_indices(element: bytes, params: BloomParams) -> list[int]:
     return [((h1 + i * h2) % 2**64) % params.m for i in range(params.k)]
 
 
+def with_bits(bits: bytes, positions: list[int]) -> bytearray:
+    """A copy of ``bits`` with every bit in ``positions`` set."""
+    out = bytearray(bits)
+    for i in positions:
+        out[i >> 3] |= 1 << (i & 7)
+    return out
+
+
+hash_counts = st.one_of(st.integers(min_value=1, max_value=64), st.just(MAX_K))
+
+
 @st.composite
-def geometries(draw, chunk_sizes):
-    """BloomParams over the given chunk sizes, any valid chunk count, k up to MAX_K."""
+def geometries(draw, chunk_sizes, max_bits=2**64 - 1):
+    """BloomParams over the given chunk sizes, any valid chunk count up to max_bits bits, k up to MAX_K."""
     chunk_size = draw(chunk_sizes)
-    # the largest depth with (chunk_size * 8) << depth < 2^64
-    depth = draw(st.integers(min_value=0, max_value=64 - (chunk_size * 8).bit_length()))
-    k = draw(st.one_of(st.integers(min_value=1, max_value=64), st.just(MAX_K)))
+    # the largest depth with (chunk_size * 8) << depth <= max_bits
+    depth = draw(st.integers(min_value=0, max_value=(max_bits // (chunk_size * 8)).bit_length() - 1))
+    k = draw(hash_counts)
     return BloomParams(m=chunk_size * 8 << depth, k=k, chunk_size=chunk_size)
+
+
+# Filters small enough to allocate: at most 2^16 bits, power-of-two and other m.
+small_geometries = geometries(st.sampled_from([1, 8, 32, 3, 24]), max_bits=2**16)
 
 
 class TestDeriveParams:
@@ -270,6 +285,37 @@ class TestFilter:
             current = bytes(filt.bits)
             assert all(p & ~c == 0 for p, c in zip(previous, current))
             previous = current
+
+
+class TestInsert:
+    """insert against the reference formula, bit for bit."""
+
+    # the examples pin an 8-bit filter whose 40 indices repeat, both largest
+    # small filters, and k = MAX_K on a non-power-of-two m
+    @example(element=b"dup", params=BloomParams(m=8, k=40, chunk_size=1), seed=0)
+    @example(element=b"wide", params=BloomParams(m=2**16, k=9, chunk_size=32), seed=1)
+    @example(element=b"wide", params=BloomParams(m=24 << 11, k=9, chunk_size=3), seed=2)
+    @example(element=b"many", params=BloomParams(m=192 << 4, k=MAX_K, chunk_size=24), seed=3)
+    @given(element=elements, params=small_geometries, seed=st.integers(min_value=0, max_value=2**32))
+    def test_sets_exactly_the_reference_bits(self, element, params, seed):
+        expected = reference_indices(element, params)
+        empty = BloomFilter(params)
+        empty.insert(element)
+        assert empty.bits == with_bits(bytes(params.byte_length), expected)
+
+        prefilled = random.Random(seed).randbytes(params.byte_length)
+        filt = BloomFilter(params, bytearray(prefilled))
+        filt.insert(element)
+        assert filt.bits == with_bits(prefilled, expected)
+
+    @pytest.mark.parametrize("element", ["text", 7, None])
+    @pytest.mark.parametrize("params", [SMALL_PARAMS, BloomParams(m=24 * 4, k=5, chunk_size=3)])
+    def test_non_bytes_element_raises_and_sets_nothing(self, element, params):
+        prefilled = random.Random(17).randbytes(params.byte_length)
+        filt = BloomFilter(params, bytearray(prefilled))
+        with pytest.raises(TypeError):
+            filt.insert(element)
+        assert filt.bits == prefilled
 
 
 @settings(deadline=None, max_examples=2)
