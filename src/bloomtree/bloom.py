@@ -174,9 +174,24 @@ class BloomFilter:
                 )
 
     def insert(self, element: bytes) -> None:
-        """Set all k bits the element maps to."""
+        """Set all k bits the element maps to, the bits of :func:`indices`.
+
+        When m is a power of two the progression of :func:`indices` is
+        walked in place, each bit set as it is reached, with no index list.
+        """
         bits = self.bits
-        for i in indices(element, self.params):
+        params = self.params
+        m = params.m
+        if m & (m - 1):
+            for i in indices(element, params):
+                bits[i >> 3] |= 1 << (i & 7)
+            return
+        h1, h2 = _H1_H2.unpack_from(hashlib.sha256(element).digest())
+        low = m - 1
+        start = h1 & low
+        step = (h2 | 1) & low
+        for x in range(start, start + params.k * step, step):
+            i = x & low
             bits[i >> 3] |= 1 << (i & 7)
 
     def contains(self, element: bytes) -> bool:
