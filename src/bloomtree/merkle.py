@@ -77,9 +77,9 @@ class MerkleTree:
 def build_tree(leaves: Sequence[Digest]) -> MerkleTree:
     """Build a complete tree over a power-of-two number of leaf digests.
 
-    The leaves are joined into one buffer first, a join that briefly takes
-    about 48 bytes per leaf on top of both copies. Each level above is
-    hashed in blocks of digest pairs; see _blocks for what that holds.
+    The leaves are joined into one buffer a block of _BLOCK_FIELDS leaves at
+    a time. Each level above is hashed in blocks of digest pairs; see
+    _blocks for what that holds.
     """
     count = len(leaves)
     if count < 1 or count & (count - 1):
@@ -87,7 +87,7 @@ def build_tree(leaves: Sequence[Digest]) -> MerkleTree:
     if set(map(len, leaves)) != {DIGEST_SIZE}:
         raise ValueError("leaves must be 32-byte digests")
     try:
-        level = b"".join(leaves)
+        level = b"".join([b"".join(leaves[i : i + _BLOCK_FIELDS]) for i in range(0, count, _BLOCK_FIELDS)])
     except TypeError:
         raise ValueError("leaves must be 32-byte digests") from None
     if len(level) != count * DIGEST_SIZE:

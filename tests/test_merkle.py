@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -73,6 +74,24 @@ class TestBuildTree:
     def test_rejects_wrong_digest_size(self):
         with pytest.raises(ValueError):
             build_tree([b"short", b"x" * 32])
+
+    def test_rejects_a_non_bytes_leaf_past_the_first_block(self):
+        leaves = leaves_for(512)
+        leaves[300] = "x" * 32
+        with pytest.raises(ValueError):
+            build_tree(leaves)
+
+    def test_build_holds_little_beyond_the_tree_it_returns(self):
+        # 2^16 leaves: a 2 MiB leaf level, joined from the leaf list in blocks
+        leaves = leaves_for(2**16, seed=3)
+        tracemalloc.start()
+        try:
+            tree = build_tree(leaves)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tree.levels[0] == b"".join(leaves)
+        assert peak - retained < 2**20
 
     def test_level_shape(self):
         tree = build_tree(leaves_for(8))
