@@ -21,7 +21,6 @@ from .codec import (
     encode_filter,
     encode_proof,
 )
-from .experiment import ExperimentConfig, ExperimentRow, run_cell, run_grid
 from .tree import (
     AbsenceProof,
     BloomTree,
@@ -65,3 +64,15 @@ __all__ = [
     "run_grid",
     "verify",
 ]
+
+_EXPERIMENT_NAMES = {"ExperimentConfig", "ExperimentRow", "run_cell", "run_grid"}
+
+
+def __getattr__(name):
+    # The experiment grid is loaded on first use, so a CLI process that only
+    # builds, proves or verifies never imports it.
+    if name in _EXPERIMENT_NAMES:
+        from . import experiment
+
+        return getattr(experiment, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

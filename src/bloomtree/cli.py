@@ -12,17 +12,6 @@ import sys
 
 from . import codec
 from .bloom import BloomFilter, derive_params, fpr, optimal_bit_count
-from .experiment import (
-    DEFAULT_CHUNK_SIZES,
-    DEFAULT_FPRS,
-    DEFAULT_NS,
-    DEFAULT_SAMPLE_SIZE,
-    DEFAULT_SEED,
-    ExperimentConfig,
-    format_summary,
-    run_grid,
-    write_csv,
-)
 from .tree import AbsenceProof, BloomTree, Verdict, build, prove, verify
 
 EXIT_OK = 0
@@ -93,11 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run the proof-size grid and write a CSV")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None, help="grid seed (default 7)")
     p.add_argument("--chunk-sizes", default=None, help="comma-separated chunk sizes in bytes")
     p.add_argument("--fprs", default=None, help="comma-separated false-positive rates")
     p.add_argument("--ns", default=None, help="comma-separated element counts")
-    p.add_argument("--sample-size", type=int, default=DEFAULT_SAMPLE_SIZE)
+    p.add_argument("--sample-size", type=int, default=None, help="presence proofs per cell (default 100)")
     p.set_defaults(handler=_cmd_experiment)
 
     return parser
@@ -195,16 +184,18 @@ def _cmd_root(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = ExperimentConfig(
-        chunk_sizes=_parse_list(args.chunk_sizes, int) or DEFAULT_CHUNK_SIZES,
-        fprs=_parse_list(args.fprs, float) or DEFAULT_FPRS,
-        ns=_parse_list(args.ns, int) or DEFAULT_NS,
-        sample_size=args.sample_size,
-        seed=args.seed,
+    from . import experiment  # imported here, so the other commands never load it
+
+    config = experiment.ExperimentConfig(
+        chunk_sizes=_parse_list(args.chunk_sizes, int) or experiment.DEFAULT_CHUNK_SIZES,
+        fprs=_parse_list(args.fprs, float) or experiment.DEFAULT_FPRS,
+        ns=_parse_list(args.ns, int) or experiment.DEFAULT_NS,
+        sample_size=experiment.DEFAULT_SAMPLE_SIZE if args.sample_size is None else args.sample_size,
+        seed=experiment.DEFAULT_SEED if args.seed is None else args.seed,
     )
-    rows = run_grid(config)
-    write_csv(rows, args.out)
-    print(format_summary(rows))
+    rows = experiment.run_grid(config)
+    experiment.write_csv(rows, args.out)
+    print(experiment.format_summary(rows))
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 

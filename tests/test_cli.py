@@ -17,11 +17,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_module(*argv, stdin=None):
+def run_python(*argv, stdin=None):
     env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run(
-        [sys.executable, "-m", "bloomtree", *argv], input=stdin, capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *argv], input=stdin, capture_output=True, text=True, env=env)
+
+
+def run_module(*argv, stdin=None):
+    return run_python("-m", "bloomtree", *argv, stdin=stdin)
 
 
 @pytest.fixture
@@ -221,6 +223,19 @@ class TestExperiment:
         assert header == "chunk_size,fpr,n,m_bits,k,filter_bytes,absence_bytes,median_presence_bytes"
         out = capsys.readouterr().out
         assert "wrote 2 rows" in out
+
+    def test_seed_and_sample_size_default_to_7_and_100(self, tmp_path):
+        grid = ["experiment", "--chunk-sizes", "8", "--fprs", "0.1", "--ns", "400"]
+        defaulted = tmp_path / "defaulted.csv"
+        explicit = tmp_path / "explicit.csv"
+        assert run_cli(*grid, "--out", str(defaulted)) == 0
+        assert run_cli(*grid, "--seed", "7", "--sample-size", "100", "--out", str(explicit)) == 0
+        assert defaulted.read_bytes() == explicit.read_bytes()
+
+
+def test_cli_import_leaves_the_experiment_module_unloaded():
+    result = run_python("-c", "import sys, bloomtree.cli; print('bloomtree.experiment' in sys.modules)")
+    assert (result.returncode, result.stdout) == (0, "False\n")
 
 
 def test_module_invocation_smoke(tmp_path):
