@@ -14,8 +14,8 @@ from dataclasses import dataclass
 MIN_CHUNK_SIZE = 1
 MAX_CHUNK_SIZE = 65536
 # Upper bound on k. Far above any useful filter (the optimum is about
-# 0.7 * bits per element), and small enough that an element's index list,
-# built by every insert, prove and verify, stays cheap even when k comes
+# 0.7 * bits per element), and small enough that an element's k indices,
+# derived by every insert, prove and verify, stay cheap even when k comes
 # from an untrusted file header.
 MAX_K = 1 << 16
 
@@ -174,10 +174,13 @@ class BloomFilter:
                 )
 
     def insert(self, element: bytes) -> None:
-        """Set all k bits the element maps to, the bits of :func:`indices`.
+        """Set all k bits the element maps to: the bits of :func:`indices`.
 
-        When m is a power of two the progression of :func:`indices` is
-        walked in place, each bit set as it is reached, with no index list.
+        When m is a power of two, this walks the small-int progression that
+        :func:`indices` derives, h1 mod m stepping by h2 mod m, and sets each
+        bit as it reaches it, with no index list. Any other m sets the bits
+        of :func:`indices` itself. An element that is not bytes-like raises
+        TypeError before any bit is set.
         """
         bits = self.bits
         params = self.params
