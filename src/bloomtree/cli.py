@@ -82,11 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run the proof-size grid and write a CSV")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--seed", type=int, default=None, help="grid seed (default 7)")
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--chunk-sizes", default=None, help="comma-separated chunk sizes in bytes")
     p.add_argument("--fprs", default=None, help="comma-separated false-positive rates")
     p.add_argument("--ns", default=None, help="comma-separated element counts")
-    p.add_argument("--sample-size", type=int, default=None, help="presence proofs per cell (default 100)")
+    p.add_argument("--sample-size", type=int, default=None)
     p.set_defaults(handler=_cmd_experiment)
 
     return parser
