@@ -40,21 +40,14 @@ def with_bits(bits: bytes, positions: list[int]) -> bytearray:
     return out
 
 
-hash_counts = st.one_of(st.integers(min_value=1, max_value=64), st.just(MAX_K))
-
-
 @st.composite
 def geometries(draw, chunk_sizes, max_bits=2**64 - 1):
     """BloomParams over the given chunk sizes, any valid chunk count up to max_bits bits, k up to MAX_K."""
     chunk_size = draw(chunk_sizes)
     # the largest depth with (chunk_size * 8) << depth <= max_bits
     depth = draw(st.integers(min_value=0, max_value=(max_bits // (chunk_size * 8)).bit_length() - 1))
-    k = draw(hash_counts)
+    k = draw(st.one_of(st.integers(min_value=1, max_value=64), st.just(MAX_K)))
     return BloomParams(m=chunk_size * 8 << depth, k=k, chunk_size=chunk_size)
-
-
-# Filters small enough to allocate: at most 2^16 bits, power-of-two and other m.
-small_geometries = geometries(st.sampled_from([1, 8, 32, 3, 24]), max_bits=2**16)
 
 
 class TestDeriveParams:
@@ -290,13 +283,19 @@ class TestFilter:
 class TestInsert:
     """insert against the reference formula, bit for bit."""
 
-    # the examples pin an 8-bit filter whose 40 indices repeat, both largest
-    # small filters, and k = MAX_K on a non-power-of-two m
+    # Filters small enough to allocate: at most 2^16 bits, power-of-two and
+    # other m. The examples pin an 8-bit filter whose 40 indices repeat, the
+    # largest filters of chunk size 32 and 3, and k = MAX_K on a
+    # non-power-of-two m.
     @example(element=b"dup", params=BloomParams(m=8, k=40, chunk_size=1), seed=0)
     @example(element=b"wide", params=BloomParams(m=2**16, k=9, chunk_size=32), seed=1)
     @example(element=b"wide", params=BloomParams(m=24 << 11, k=9, chunk_size=3), seed=2)
     @example(element=b"many", params=BloomParams(m=192 << 4, k=MAX_K, chunk_size=24), seed=3)
-    @given(element=elements, params=small_geometries, seed=st.integers(min_value=0, max_value=2**32))
+    @given(
+        element=elements,
+        params=geometries(st.sampled_from([1, 8, 32, 3, 24]), max_bits=2**16),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
     def test_sets_exactly_the_reference_bits(self, element, params, seed):
         expected = reference_indices(element, params)
         empty = BloomFilter(params)
