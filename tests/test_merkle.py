@@ -75,6 +75,16 @@ class TestBuildTree:
         with pytest.raises(ValueError):
             build_tree([b"short", b"x" * 32])
 
+    def test_bytes_like_digest_types_give_the_same_root(self):
+        # verify_multi's digest types: bytes, bytearray and their subclasses
+        class Digest(bytes):
+            pass
+
+        leaves = leaves_for(8, seed=4)
+        root = build_tree(leaves).root
+        for convert in (bytearray, Digest):
+            assert build_tree([convert(leaf) for leaf in leaves]).root == root
+
     def test_rejects_a_non_bytes_leaf_past_the_first_block(self):
         leaves = leaves_for(512)
         leaves[300] = "x" * 32
@@ -167,6 +177,12 @@ class TestSingleProof:
         assert not verify_multi(tree.root, [(0, b"short")], 4, proof)
         assert not verify_multi(tree.root, [(0, leaf)], 4, [b"short", b"x"])
         assert not verify_multi(tree.root, [(0, leaf)], 4, None)
+
+    def test_junk_leaf_digest_is_false_not_raise(self):
+        tree = build_tree(leaves_for(4, seed=6))
+        proof = prove_multi(tree, [2])
+        for junk in (None, "x" * 32, b"\x00" * 31):
+            assert not verify_multi(tree.root, [(2, junk)], 4, proof)
 
     def test_inner_node_posing_as_a_leaf_is_false(self):
         # An inner node's digest with its own, shorter path folds to the root;

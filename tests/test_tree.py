@@ -381,6 +381,28 @@ class TestVerify:
         assert verify(bytes(wrong), params, inserted[0], proof).kind is VerdictKind.INVALID
         assert verify(b"short", params, inserted[0], proof).kind is VerdictKind.INVALID
 
+    def test_root_that_is_not_a_digest_is_invalid_not_raise(self):
+        bloom_tree, inserted, _ = populated_tree(seed=27)
+        params = bloom_tree.filter.params
+        proof = prove(bloom_tree, inserted[0])
+        for root in (None, 7, "x" * 32, bloom_tree.root[:31], bloom_tree.root + b"\x00"):
+            verdict = verify(root, params, inserted[0], proof)
+            assert verdict.kind is VerdictKind.INVALID, root
+            assert verdict.reason == "root must be a 32-byte digest"
+        assert verify(bytearray(bloom_tree.root), params, inserted[0], proof).kind is VerdictKind.MAYBE_PRESENT
+
+    def test_presence_chunk_count_must_match_the_chunk_indices(self):
+        bloom_tree, inserted, _ = populated_tree(seed=28)
+        params = bloom_tree.filter.params
+        element = inserted[3]
+        proof = prove(bloom_tree, element)
+        assert isinstance(proof, PresenceProof)
+        for chunks in (proof.chunks[:-1], proof.chunks + proof.chunks[-1:]):
+            tampered = PresenceProof(proof.chunk_indices, chunks, proof.multiproof)
+            verdict = verify(bloom_tree.root, params, element, tampered)
+            assert verdict.kind is VerdictKind.INVALID
+            assert verdict.reason == "chunk count does not match chunk index count"
+
     @pytest.mark.parametrize(
         "junk",
         [
