@@ -186,13 +186,15 @@ def _cmd_root(args) -> int:
 def _cmd_experiment(args) -> int:
     from . import experiment  # imported here, so the other commands never load it
 
-    config = experiment.ExperimentConfig(
-        chunk_sizes=_parse_list(args.chunk_sizes, int) or experiment.DEFAULT_CHUNK_SIZES,
-        fprs=_parse_list(args.fprs, float) or experiment.DEFAULT_FPRS,
-        ns=_parse_list(args.ns, int) or experiment.DEFAULT_NS,
-        sample_size=experiment.DEFAULT_SAMPLE_SIZE if args.sample_size is None else args.sample_size,
-        seed=experiment.DEFAULT_SEED if args.seed is None else args.seed,
-    )
+    given = {
+        "chunk_sizes": _parse_list(args.chunk_sizes, int),
+        "fprs": _parse_list(args.fprs, float),
+        "ns": _parse_list(args.ns, int),
+        "sample_size": args.sample_size,
+        "seed": args.seed,
+    }
+    # Only the flags given: the grid's defaults and rules live in ExperimentConfig.
+    config = experiment.ExperimentConfig(**{name: value for name, value in given.items() if value is not None})
     rows = experiment.run_grid(config)
     experiment.write_csv(rows, args.out)
     print(experiment.format_summary(rows))

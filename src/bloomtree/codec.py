@@ -24,11 +24,10 @@ against the remaining input before anything is sliced out.
 """
 
 import struct
-from itertools import chain
 from typing import Union
 
 from .bloom import BloomFilter, BloomParams
-from .merkle import _BLOCK_FIELDS, DIGEST_SIZE, _blocks, _layout
+from .merkle import DIGEST_SIZE, _split
 from .tree import AbsenceProof, BloomTree, PresenceProof, build
 
 FILTER_MAGIC = b"BLTR"
@@ -114,8 +113,7 @@ def encode_filter(bloom_tree: BloomTree) -> bytes:
 def decode_filter(data: bytes) -> BloomTree:
     """Parse a filter file, rebuild its tree, and check the stored root."""
     reader = _Reader(data)
-    _expect_magic(reader, FILTER_MAGIC)
-    _expect_version(reader)
+    _expect_header(reader, FILTER_MAGIC)
     params = _unpack_params(reader)
     filter_bytes = reader.take(params.byte_length)
     stored_root = reader.take(DIGEST_SIZE)
@@ -167,8 +165,7 @@ def encode_proof(params: BloomParams, proof: Proof) -> bytes:
 def decode_proof(data: bytes) -> tuple[BloomParams, Proof]:
     """Parse a proof file; returns the echoed params and the proof payload."""
     reader = _Reader(data)
-    _expect_magic(reader, PROOF_MAGIC)
-    _expect_version(reader)
+    _expect_header(reader, PROOF_MAGIC)
     kind = reader.take(1)[0]
     params = _unpack_params(reader)
     size = params.chunk_size
@@ -192,19 +189,6 @@ def _read_digests(reader: _Reader) -> tuple[bytes, ...]:
     return digests
 
 
-def _split(section: bytes, width: int) -> tuple[bytes, ...]:
-    """``section`` cut into ``width``-byte fields, one C-level unpack per block of fields.
-
-    A section of up to _BLOCK_FIELDS fields takes one unpack; a longer one is
-    cut block by block, so no layout a proof's counts call for holds more
-    than _BLOCK_FIELDS fields.
-    """
-    count = len(section) // width
-    if count <= _BLOCK_FIELDS:
-        return _layout(count, width).unpack(section)
-    return tuple(chain.from_iterable(fields for _, fields in _blocks(section, width)))
-
-
 def _pack_params(params: BloomParams) -> bytes:
     return _PARAMS.pack(params.m, params.k, params.chunk_size)
 
@@ -217,12 +201,10 @@ def _unpack_params(reader: _Reader) -> BloomParams:
         raise InvalidField(str(exc)) from None
 
 
-def _expect_magic(reader: _Reader, magic: bytes) -> None:
+def _expect_header(reader: _Reader, magic: bytes) -> None:
+    """The magic, then the version byte: a wrong magic is BadMagic whatever follows."""
     if reader.take(len(magic)) != magic:
         raise BadMagic(f"expected magic {magic!r}")
-
-
-def _expect_version(reader: _Reader) -> None:
     version = reader.take(1)[0]
     if version != VERSION:
         raise UnsupportedVersion(f"unsupported version {version}, expected {VERSION}")

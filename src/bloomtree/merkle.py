@@ -21,6 +21,7 @@ import hashlib
 import operator
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 DIGEST_SIZE = 32
@@ -77,22 +78,17 @@ class MerkleTree:
 def build_tree(leaves: Sequence[Digest]) -> MerkleTree:
     """Build a complete tree over a power-of-two number of leaf digests.
 
-    The leaves are joined into one buffer a block of _BLOCK_FIELDS leaves at
-    a time. Each level above is hashed in blocks of digest pairs; see
-    _blocks for what that holds.
+    The leaves are checked as verify_multi checks its leaves, then joined
+    into one buffer a block of _BLOCK_FIELDS leaves at a time. Each level
+    above is hashed in blocks of digest pairs; see _blocks for what that
+    holds.
     """
     count = len(leaves)
-    if count < 1 or count & (count - 1):
+    if not _is_power_of_two(count):
         raise ValueError(f"leaf count must be a power of two >= 1, got {count}")
-    if set(map(len, leaves)) != {DIGEST_SIZE}:
+    if not _all_digests(leaves):
         raise ValueError("leaves must be 32-byte digests")
-    try:
-        level = b"".join([b"".join(leaves[i : i + _BLOCK_FIELDS]) for i in range(0, count, _BLOCK_FIELDS)])
-    except TypeError:
-        raise ValueError("leaves must be 32-byte digests") from None
-    if len(level) != count * DIGEST_SIZE:
-        raise ValueError("leaves must be 32-byte digests")
-    return _tree_over(level)
+    return _tree_over(b"".join([b"".join(leaves[i : i + _BLOCK_FIELDS]) for i in range(0, count, _BLOCK_FIELDS)]))
 
 
 def _tree_over(leaf_level: bytes) -> MerkleTree:
@@ -147,6 +143,19 @@ def _blocks(buffer: bytes, width: int) -> Iterator[tuple[int, tuple[bytes, ...]]
     step = min(_BLOCK_FIELDS, _BLOCK_BYTES // width)
     for start in range(0, count, step):
         yield start, _layout(min(step, count - start), width).unpack_from(buffer, start * width)
+
+
+def _split(section: bytes, width: int) -> tuple[bytes, ...]:
+    """``section`` cut into ``width``-byte fields, one C-level unpack per block of fields.
+
+    A section of up to _BLOCK_FIELDS fields takes one unpack; a longer one is
+    cut block by block, so no layout a proof's counts call for holds more
+    than _BLOCK_FIELDS fields.
+    """
+    count = len(section) // width
+    if count <= _BLOCK_FIELDS:
+        return _layout(count, width).unpack(section)
+    return tuple(chain.from_iterable(fields for _, fields in _blocks(section, width)))
 
 
 @functools.lru_cache(maxsize=_LAYOUTS_KEPT)

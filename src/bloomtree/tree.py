@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 from .bloom import BloomFilter, BloomParams, indices
 from .merkle import (
-    DIGEST_SIZE,
     Digest,
     MerkleTree,
     _in_blocks,
+    _is_digest,
     _prove,
     _tree_over,
     _verify_leaves,
@@ -206,7 +206,7 @@ def verify(
     params that are not BloomParams included, returns an INVALID verdict
     with a reason, never an exception.
     """
-    if not isinstance(root, (bytes, bytearray)) or len(root) != DIGEST_SIZE:
+    if not _is_digest(root):
         return Verdict.invalid("root must be a 32-byte digest")
     if not isinstance(params, BloomParams):
         return Verdict.invalid(f"params must be BloomParams, not {type(params).__name__}")

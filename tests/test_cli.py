@@ -232,6 +232,13 @@ class TestExperiment:
         assert run_cli(*grid, "--seed", "7", "--sample-size", "100", "--out", str(explicit)) == 0
         assert defaulted.read_bytes() == explicit.read_bytes()
 
+    def test_empty_axis_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        grid = ["--chunk-sizes", "", "--fprs", "0.1", "--ns", "40", "--sample-size", "2", "--out", str(out)]
+        assert run_cli("experiment", *grid) == 2
+        assert "chunk_sizes, fprs and ns must all be non-empty" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_cli_import_leaves_the_experiment_module_unloaded():
     result = run_python("-c", "import sys, bloomtree.cli; print('bloomtree.experiment' in sys.modules)")

@@ -1,3 +1,4 @@
+import array
 import itertools
 import random
 import tracemalloc
@@ -84,6 +85,14 @@ class TestBuildTree:
         root = build_tree(leaves).root
         for convert in (bytearray, Digest):
             assert build_tree([convert(leaf) for leaf in leaves]).root == root
+
+    def test_rejects_buffers_that_are_not_bytes_or_bytearray(self):
+        # the leaves verify_multi would refuse, even at 32 bytes
+        leaves = leaves_for(4, seed=5)
+        for leaf in (memoryview(leaves[1]), array.array("B", leaves[1])):
+            assert len(leaf) == 32
+            with pytest.raises(ValueError):
+                build_tree([leaves[0], leaf, *leaves[2:]])
 
     def test_rejects_a_non_bytes_leaf_past_the_first_block(self):
         leaves = leaves_for(512)
