@@ -104,6 +104,20 @@ class TestDeriveParams:
         assert params.m >= math.ceil(n * -math.log(p) / math.log(2) ** 2)
         assert params.k >= 1
 
+    @given(
+        n=st.integers(min_value=1, max_value=10**12),
+        p=st.floats(min_value=1e-9, max_value=0.99),
+        chunk_size=st.sampled_from([1 << e for e in range(17)]),
+    )
+    def test_m_is_the_smallest_power_of_two_multiple_of_the_chunk_bits(self, n, p, chunk_size):
+        m_raw = optimal_bit_count(n, p)
+        bits = chunk_size * 8
+        m = derive_params(n, p, chunk_size).m
+        count, remainder = divmod(m, bits)
+        assert remainder == 0 and count & (count - 1) == 0
+        assert m >= m_raw
+        assert count == 1 or m // 2 < m_raw  # half of m would be too small
+
 
 class TestParamsValidation:
     def test_rejects_non_power_of_two_chunk_count(self):
