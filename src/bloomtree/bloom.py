@@ -1,9 +1,10 @@
 """Core Bloom filter: sizing, double-hashed indexing, insert and membership.
 
-The bit array is always padded up to a power-of-two number of fixed-size
-chunks so that a Merkle tree can commit to it without any special padding
-leaves (see :mod:`bloomtree.tree`). Padding only ever lowers the realized
-false-positive rate below the requested target.
+Chunk sizes and bit counts are powers of two, so the bit array is always a
+power-of-two number of fixed-size chunks, which a Merkle tree can commit to
+without any special padding leaves (see :mod:`bloomtree.tree`). Padding the
+bit count up to a power of two only ever lowers the realized false-positive
+rate below the requested target.
 """
 
 import hashlib
@@ -20,7 +21,6 @@ MAX_CHUNK_SIZE = 65536
 MAX_K = 1 << 16
 
 _LN2 = math.log(2)
-_U64_MASK = (1 << 64) - 1
 _H1_H2 = struct.Struct("<QQ")
 
 
@@ -29,8 +29,10 @@ class BloomParams:
     """Filter geometry shared by prover and verifier.
 
     m is the bit count, k in [1, MAX_K] the number of hash indices per
-    element, and chunk_size the number of bytes per committed chunk. The
-    chunk count m / (chunk_size * 8) is always a power of two.
+    element, and chunk_size the number of bytes per committed chunk, a power
+    of two in [MIN_CHUNK_SIZE, MAX_CHUNK_SIZE]. m is a power of two of at
+    least chunk_size * 8 bits, so the chunk count m / (chunk_size * 8) is a
+    power of two too.
     """
 
     m: int
@@ -38,20 +40,16 @@ class BloomParams:
     chunk_size: int
 
     def __post_init__(self):
-        if not MIN_CHUNK_SIZE <= self.chunk_size <= MAX_CHUNK_SIZE:
+        size = self.chunk_size
+        if not MIN_CHUNK_SIZE <= size <= MAX_CHUNK_SIZE or size & (size - 1):
             raise ValueError(
-                f"chunk_size must be in [{MIN_CHUNK_SIZE}, {MAX_CHUNK_SIZE}], got {self.chunk_size}"
+                f"chunk_size must be a power of two in [{MIN_CHUNK_SIZE}, {MAX_CHUNK_SIZE}], got {size}"
             )
         if not 1 <= self.k <= MAX_K:
             raise ValueError(f"k must be in [1, {MAX_K}], got {self.k}")
-        if not 1 <= self.m < (1 << 64):
-            raise ValueError(f"m must be in [1, 2^64), got {self.m}")
-        bits = self.chunk_size * 8
-        if self.m < bits or self.m % bits != 0:
-            raise ValueError(f"m={self.m} is not a multiple of the chunk bit width {bits}")
-        count = self.m // bits
-        if count & (count - 1):
-            raise ValueError(f"chunk count {count} is not a power of two")
+        m = self.m
+        if not size * 8 <= m < (1 << 64) or m & (m - 1):
+            raise ValueError(f"m must be a power of two in [{size * 8}, 2^64), got {m}")
 
     @property
     def chunk_bits(self) -> int:
@@ -83,20 +81,13 @@ def optimal_bit_count(n: int, p: float) -> int:
 def derive_params(n: int, p: float, chunk_size: int) -> BloomParams:
     """Size a filter for ``n`` expected elements at target false-positive rate ``p``.
 
-    The raw optimal bit count (:func:`optimal_bit_count`) is padded up to the
-    next power-of-two multiple of the chunk bit width, and k is chosen
+    m is the raw optimal bit count (:func:`optimal_bit_count`) rounded up to
+    the next power of two, and at least one chunk: the smallest power-of-two
+    multiple of the chunk bit width that holds the raw count. k is chosen
     near-optimal for the padded size: max(1, round(m/n * ln 2)), clamped to
-    MAX_K.
+    MAX_K. BloomParams checks the chunk size.
     """
-    m_raw = optimal_bit_count(n, p)
-    if not MIN_CHUNK_SIZE <= chunk_size <= MAX_CHUNK_SIZE:
-        raise ValueError(f"chunk_size must be in [{MIN_CHUNK_SIZE}, {MAX_CHUNK_SIZE}], got {chunk_size}")
-
-    chunk_bits = chunk_size * 8
-    count = 1
-    while count * chunk_bits < m_raw:
-        count *= 2
-    m = count * chunk_bits
+    m = max(chunk_size * 8, 1 << (optimal_bit_count(n, p) - 1).bit_length())
     k = min(MAX_K, max(1, round(m / n * _LN2)))
     return BloomParams(m=m, k=k, chunk_size=chunk_size)
 
@@ -130,20 +121,15 @@ def indices(element: bytes, params: BloomParams) -> list[int]:
     odd avoids the degenerate case where all k indices coincide. Duplicates
     are possible and preserved.
 
-    When m is a power of two it divides 2^64, so the same indices come from
+    m is a power of two, so it divides 2^64 and the same indices come from
     (h1 mod m + i*(h2 mod m)) mod m, which stays in small ints. h2 is odd
     and m >= 8, so the step h2 mod m is at least 1.
     """
     h1, h2 = _H1_H2.unpack_from(hashlib.sha256(element).digest())
-    h2 |= 1
-    m = params.m
-    k = params.k
-    if m & (m - 1):
-        return [((h1 + i * h2) & _U64_MASK) % m for i in range(k)]
-    low = m - 1
+    low = params.m - 1
     start = h1 & low
-    step = h2 & low
-    return [x & low for x in range(start, start + k * step, step)]
+    step = (h2 | 1) & low
+    return [x & low for x in range(start, start + params.k * step, step)]
 
 
 @dataclass
@@ -176,21 +162,15 @@ class BloomFilter:
     def insert(self, element: bytes) -> None:
         """Set all k bits the element maps to: the bits of :func:`indices`.
 
-        When m is a power of two, this walks the small-int progression that
-        :func:`indices` derives, h1 mod m stepping by h2 mod m, and sets each
-        bit as it reaches it, with no index list. Any other m sets the bits
-        of :func:`indices` itself. An element that is not bytes-like raises
-        TypeError before any bit is set.
+        This walks the same small-int progression as :func:`indices`, h1 mod m
+        stepping by h2 mod m, and sets each bit as it reaches it, with no index
+        list. An element that is not bytes-like raises TypeError before any bit
+        is set.
         """
         bits = self.bits
         params = self.params
-        m = params.m
-        if m & (m - 1):
-            for i in indices(element, params):
-                bits[i >> 3] |= 1 << (i & 7)
-            return
         h1, h2 = _H1_H2.unpack_from(hashlib.sha256(element).digest())
-        low = m - 1
+        low = params.m - 1
         start = h1 & low
         step = (h2 | 1) & low
         for x in range(start, start + params.k * step, step):

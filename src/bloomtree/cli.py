@@ -28,8 +28,8 @@ def main(argv=None) -> int:
     except (codec.CodecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        # bad flag values (fpr out of range, zero n, ...)
+    except (ValueError, OverflowError) as exc:
+        # bad flag values (fpr out of range, zero n, a chunk size too large for a float, ...)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -44,7 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("params", help="derive filter geometry for n elements at a target false-positive rate")
     p.add_argument("--n", type=int, required=True, help="expected element count")
     p.add_argument("--fpr", type=float, required=True, help="target false-positive rate in (0,1)")
-    p.add_argument("--chunk-size", type=int, required=True, help="bytes per committed chunk")
+    p.add_argument(
+        "--chunk-size", type=int, required=True,
+        help="bytes per committed chunk, a power of two from 1 to 65536",
+    )
     p.set_defaults(handler=_cmd_params)
 
     p = sub.add_parser("build", help="build a filter from newline-delimited elements and write a filter file")
@@ -54,7 +57,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="capacity to size for (default: number of lines, min 1, which needs a seekable file)",
     )
     p.add_argument("--fpr", type=float, required=True)
-    p.add_argument("--chunk-size", type=int, required=True)
+    p.add_argument(
+        "--chunk-size", type=int, required=True,
+        help="bytes per committed chunk, a power of two from 1 to 65536",
+    )
     p.add_argument("--out", required=True, help="output filter file")
     p.set_defaults(handler=_cmd_build)
 

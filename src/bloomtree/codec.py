@@ -16,6 +16,10 @@ Proof file::
     kind 0x02 (absence) body:
         chunk_index u64 | chunk bytes | path length u16 | 32-byte digests
 
+The params fields must form a valid BloomParams: chunk_size a power of two
+from 1 to 65536, m a power of two of at least chunk_size * 8 bits, and k in
+[1, MAX_K]. Any other header raises InvalidField.
+
 Filter decoding rebuilds the Merkle root from the filter bytes and rejects
 the file if it disagrees with the stored root. Proofs echo the filter
 parameters so a verifier holding only (root, params) can cross-check them.

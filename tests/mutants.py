@@ -52,8 +52,8 @@ MUTANTS = (
     Mutant(
         "insert walks k-1 steps",
         "bloom.py",
-        "range(start, start + params.k * step, step)",
-        "range(start, start + (params.k - 1) * step, step)",
+        "for x in range(start, start + params.k * step, step):",
+        "for x in range(start, start + (params.k - 1) * step, step):",
         ("tests/test_bloom.py::TestInsert::test_sets_exactly_the_reference_bits",),
     ),
     Mutant(

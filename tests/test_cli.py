@@ -1,5 +1,6 @@
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 
@@ -73,6 +74,20 @@ class TestParams:
     def test_out_of_range_flag_value_is_usage_error(self, capsys):
         assert run_cli("params", "--n", "100", "--fpr", "1.5", "--chunk-size", "32") == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chunk_size", ["3", "24", "65535"])
+    def test_chunk_size_that_is_not_a_power_of_two_is_usage_error(self, tmp_path, elements_file, capsys, chunk_size):
+        assert run_cli("params", "--n", "100", "--fpr", "0.01", "--chunk-size", chunk_size) == 2
+        out = tmp_path / "f.blt"
+        code = run_cli("build", "--elements", str(elements_file), "--fpr", "0.01", "--chunk-size", chunk_size, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.count("power of two") == 2
+
+    def test_chunk_size_too_large_for_a_float_is_usage_error(self, capsys):
+        assert run_cli("params", "--n", "100", "--fpr", "0.01", "--chunk-size", "1" + "0" * 400) == 2
+        assert run_cli("params", "--n", "1" + "0" * 400, "--fpr", "0.01", "--chunk-size", "8") == 2
+        assert capsys.readouterr().err.count("error:") == 2
 
     def test_zero_capacity_is_usage_error(self, tmp_path, elements_file):
         out = tmp_path / "f.blt"
@@ -197,6 +212,18 @@ class TestProveVerify:
         bad = tmp_path / "bad.blt"
         bad.write_bytes(bytes(blob))
         assert run_cli("root", "--filter", str(bad)) == 3
+
+    @pytest.mark.parametrize("chunk_size", [3, 24, 65535])
+    def test_chunk_size_that_is_not_a_power_of_two_is_format_error(self, tmp_path, chunk_size):
+        m = 1 << (chunk_size * 8 - 1).bit_length()
+        header = struct.pack("<QII", m, 1, chunk_size)
+        bad_filter = tmp_path / "bad.blt"
+        bad_filter.write_bytes(codec.FILTER_MAGIC + bytes([codec.VERSION]) + header + bytes(m // 8 + 32))
+        assert run_cli("root", "--filter", str(bad_filter)) == 3
+        bad_proof = tmp_path / "bad.proof"
+        body = struct.pack("<Q", 0) + bytes(chunk_size) + struct.pack("<H", 0)
+        bad_proof.write_bytes(codec.PROOF_MAGIC + bytes([codec.VERSION, codec.ABSENCE_KIND]) + header + body)
+        assert run_cli("verify", "--root", "00" * 32, "--element", "a", "--proof", str(bad_proof)) == 3
 
     def test_params_mismatch_between_proof_and_filter(self, tmp_path, filter_file, elements_file, capsys):
         other = tmp_path / "other.blt"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bloomtree import codec
-from bloomtree.bloom import BloomFilter, BloomParams
+from bloomtree.bloom import MAX_CHUNK_SIZE, BloomFilter, BloomParams
 from bloomtree.tree import AbsenceProof, PresenceProof, build, prove
 
 # Tiny fixed filter: one chunk of 8 bytes, k = 2. Frozen from the layout
@@ -104,7 +104,7 @@ class TestFilterCodec:
 
     @pytest.mark.parametrize(
         "m,k,chunk_size",
-        [(64, 0, 8), (64, 2, 0), (24, 1, 1), (8, 1, 32), (64, 2, 70000)],
+        [(64, 0, 8), (64, 2, 0), (24, 1, 1), (8, 1, 32), (64, 2, 70000), (192, 1, 24)],
     )
     def test_invalid_params_field(self, m, k, chunk_size):
         blob = codec.FILTER_MAGIC + bytes([codec.VERSION]) + struct.pack("<QII", m, k, chunk_size)
@@ -223,16 +223,20 @@ class TestProofCodec:
         assert retained < 2**20
 
     def test_declared_chunk_sizes_leave_bounded_memory(self):
-        # 400 chunk sizes, each a distinct layout of up to 256 chunks: about
-        # 3.8 MB if every layout were kept.
+        # Each of the 17 chunk sizes with its 48 largest counts of at most 256
+        # chunks and 64 KiB: 591 distinct layouts, about 3.8 MB if every layout
+        # were kept. The largest layouts come last, so a cache that drops old
+        # layouts keeps them.
+        head = codec.PROOF_MAGIC + bytes([codec.VERSION, codec.PRESENCE_KIND])
         tracemalloc.start()
         try:
-            for size in range(1, 401):
-                head = codec.PROOF_MAGIC + bytes([codec.VERSION, codec.PRESENCE_KIND])
-                head += struct.pack("<QII", 8 * size, 2, size) + struct.pack("<H", 256) + bytes(8 * 256)
-                _, proof = codec.decode_proof(head + bytes(size * 256) + struct.pack("<H", 0))
-                assert proof.chunks == (bytes(size),) * 256
-            del proof
+            for size in (MAX_CHUNK_SIZE >> e for e in range(17)):
+                most = min(256, MAX_CHUNK_SIZE // size)
+                for count in range(max(1, most - 47), most + 1):
+                    body = struct.pack("<QII", 8 * size, 2, size) + struct.pack("<H", count) + bytes((8 + size) * count)
+                    _, proof = codec.decode_proof(head + body + struct.pack("<H", 0))
+                    assert proof.chunks == (bytes(size),) * count
+            del proof, body
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()

@@ -147,12 +147,12 @@ class TestBuild:
 
     @pytest.mark.parametrize(
         "chunk_size, chunk_count",
-        [(size, count) for size in (1, 3, 24) for count in (1, 2, 2**13)]
+        [(size, count) for size in (1, 32, 512) for count in (1, 2, 2**13)]
         + [(65536, count) for count in (1, 2, 8)],
     )
     def test_levels_match_a_hashlib_oracle(self, chunk_size, chunk_count):
         # The largest counts span several blocks of a build, whether blocks are
-        # bounded in digests or in bytes.
+        # bounded in digests (chunk sizes 1 and 32) or in bytes (512 and 65536).
         params = BloomParams(m=chunk_count * chunk_size * 8, k=3, chunk_size=chunk_size)
         bits = random.Random(f"oracle-{chunk_size}-{chunk_count}").randbytes(params.byte_length)
         level = [
