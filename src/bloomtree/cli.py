@@ -209,9 +209,11 @@ def _cmd_experiment(args) -> int:
 
 
 def _parse_list(text, conv):
+    # An empty flag is an empty axis, which ExperimentConfig refuses; a blank
+    # item converts to nothing and raises ValueError, a usage error.
     if text is None:
         return None
-    return tuple(conv(part) for part in text.split(",") if part)
+    return tuple(map(conv, text.split(","))) if text else ()
 
 
 if __name__ == "__main__":

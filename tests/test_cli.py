@@ -266,6 +266,15 @@ class TestExperiment:
         assert "chunk_sizes, fprs and ns must all be non-empty" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--ns", "40,,80"), ("--chunk-sizes", "8,"), ("--fprs", ",0.1")])
+    def test_blank_item_is_a_usage_error(self, tmp_path, flag, value):
+        out = tmp_path / "grid.csv"
+        grid = {"--chunk-sizes": "8", "--fprs": "0.1", "--ns": "40", flag: value}
+        args = [arg for pair in grid.items() for arg in pair]
+        assert run_cli("experiment", *args, "--sample-size", "2", "--out", str(out)) == 2
+        assert not out.exists()
+
+
 
 def test_cli_import_leaves_the_experiment_module_unloaded():
     result = run_python("-c", "import sys, bloomtree.cli; print('bloomtree.experiment' in sys.modules)")
