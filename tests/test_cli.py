@@ -266,6 +266,7 @@ class TestExperiment:
         assert "chunk_sizes, fprs and ns must all be non-empty" in capsys.readouterr().err
         assert not out.exists()
 
+
     @pytest.mark.parametrize("flag, value", [("--ns", "40,,80"), ("--chunk-sizes", "8,"), ("--fprs", ",0.1")])
     def test_blank_item_is_a_usage_error(self, tmp_path, flag, value):
         out = tmp_path / "grid.csv"
@@ -274,6 +275,20 @@ class TestExperiment:
         assert run_cli("experiment", *args, "--sample-size", "2", "--out", str(out)) == 2
         assert not out.exists()
 
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the root does not commit to k")
+def test_verify_by_root_never_proves_an_inserted_element_absent(tmp_path, capsys, echoed_k_forgery):
+    # --root takes the params the proof file echoes.
+    bloom_tree, _, forged = echoed_k_forgery
+    element_file = tmp_path / "element"
+    proof_file = tmp_path / "forged.proof"
+    verdicts = []
+    for echoed, element, proof in forged:
+        element_file.write_bytes(element)
+        proof_file.write_bytes(codec.encode_proof(echoed, proof))
+        run_cli("verify", "--root", bloom_tree.root.hex(), "--element-file", str(element_file), "--proof", str(proof_file))
+        verdicts.append(capsys.readouterr().out.strip())
+    assert "DefinitelyAbsent" not in verdicts
 
 
 def test_cli_import_leaves_the_experiment_module_unloaded():
