@@ -122,6 +122,30 @@ MUTANTS = (
         "if False:",
         ("tests/test_tree.py::TestVerify::test_presence_chunk_count_must_match_the_chunk_indices",),
     ),
+    Mutant(
+        "BloomParams takes any chunk size",
+        "bloom.py",
+        "if not MIN_CHUNK_SIZE <= size <= MAX_CHUNK_SIZE or size & (size - 1):",
+        "if not MIN_CHUNK_SIZE <= size <= MAX_CHUNK_SIZE:",
+        ("tests/test_bloom.py::TestParamsValidation::test_rejects_chunk_size_that_is_not_a_power_of_two",),
+    ),
+    Mutant(
+        "derive_params drops the one-chunk floor",
+        "bloom.py",
+        "m = max(chunk_size * 8, 1 << (optimal_bit_count(n, p) - 1).bit_length())",
+        "m = 1 << (optimal_bit_count(n, p) - 1).bit_length()",
+        (
+            "tests/test_bloom.py::TestDeriveParams::test_single_chunk_clamp",
+            "tests/test_bloom.py::TestDeriveParams::test_tiny_sizing",
+        ),
+    ),
+    Mutant(
+        "the struct layout cache is unbounded",
+        "merkle.py",
+        "@functools.lru_cache(maxsize=_LAYOUTS_KEPT)",
+        "@functools.lru_cache(maxsize=None)",
+        ("tests/test_codec.py::TestProofCodec::test_declared_chunk_sizes_leave_bounded_memory",),
+    ),
 )
 
 
