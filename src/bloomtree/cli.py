@@ -19,6 +19,8 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+_CHUNK_SIZE_HELP = "bytes per committed chunk, a power of two from 1 to 65536"
+
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -44,10 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("params", help="derive filter geometry for n elements at a target false-positive rate")
     p.add_argument("--n", type=int, required=True, help="expected element count")
     p.add_argument("--fpr", type=float, required=True, help="target false-positive rate in (0,1)")
-    p.add_argument(
-        "--chunk-size", type=int, required=True,
-        help="bytes per committed chunk, a power of two from 1 to 65536",
-    )
+    p.add_argument("--chunk-size", type=int, required=True, help=_CHUNK_SIZE_HELP)
     p.set_defaults(handler=_cmd_params)
 
     p = sub.add_parser("build", help="build a filter from newline-delimited elements and write a filter file")
@@ -57,10 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="capacity to size for (default: number of lines, min 1, which needs a seekable file)",
     )
     p.add_argument("--fpr", type=float, required=True)
-    p.add_argument(
-        "--chunk-size", type=int, required=True,
-        help="bytes per committed chunk, a power of two from 1 to 65536",
-    )
+    p.add_argument("--chunk-size", type=int, required=True, help=_CHUNK_SIZE_HELP)
     p.add_argument("--out", required=True, help="output filter file")
     p.set_defaults(handler=_cmd_build)
 

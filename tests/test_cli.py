@@ -84,7 +84,7 @@ class TestParams:
         assert not out.exists()
         assert capsys.readouterr().err.count("power of two") == 2
 
-    def test_chunk_size_too_large_for_a_float_is_usage_error(self, capsys):
+    def test_value_too_large_for_a_float_is_usage_error(self, capsys):
         assert run_cli("params", "--n", "100", "--fpr", "0.01", "--chunk-size", "1" + "0" * 400) == 2
         assert run_cli("params", "--n", "1" + "0" * 400, "--fpr", "0.01", "--chunk-size", "8") == 2
         assert capsys.readouterr().err.count("error:") == 2
@@ -265,7 +265,6 @@ class TestExperiment:
         assert run_cli("experiment", *grid) == 2
         assert "chunk_sizes, fprs and ns must all be non-empty" in capsys.readouterr().err
         assert not out.exists()
-
 
     @pytest.mark.parametrize("flag, value", [("--ns", "40,,80"), ("--chunk-sizes", "8,"), ("--fprs", ",0.1")])
     def test_blank_item_is_a_usage_error(self, tmp_path, flag, value):
