@@ -31,7 +31,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, OverflowError) as exc:
-        # bad flag values (fpr out of range, zero n, a chunk size too large for a float, ...)
+        # bad flag values (fpr out of range, zero n, a number too large for a float, ...)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,7 +20,7 @@ def echoed_k_forgery():
     The root commits to the filter bytes but not to k, so a tree built over
     the same bytes with a larger k has the honest root, and its absence
     proofs name a zero bit among the extra indices of an inserted element.
-    Returns the honest tree, its 20 inserted elements, and one
+    Returns the honest tree over 20 inserted elements and one
     (echoed params, element, proof) triple per element and echoed k.
     """
     params = BloomParams(m=512, k=18, chunk_size=8)
@@ -34,4 +34,4 @@ def echoed_k_forgery():
         echoed = BloomParams(m=params.m, k=params.k + extra, chunk_size=params.chunk_size)
         forger = build(BloomFilter(echoed, bytes(filt.bits)))
         forged += [(echoed, element, prove(forger, element)) for element in inserted]
-    return build(filt), inserted, forged
+    return build(filt), forged

@@ -278,7 +278,7 @@ class TestExperiment:
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the root does not commit to k")
 def test_verify_by_root_never_proves_an_inserted_element_absent(tmp_path, capsys, echoed_k_forgery):
     # --root takes the params the proof file echoes.
-    bloom_tree, _, forged = echoed_k_forgery
+    bloom_tree, forged = echoed_k_forgery
     element_file = tmp_path / "element"
     proof_file = tmp_path / "forged.proof"
     verdicts = []

@@ -491,12 +491,12 @@ class TestEchoedParams:
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the root does not commit to k")
     def test_echoed_k_never_proves_an_inserted_element_absent(self, echoed_k_forgery):
-        bloom_tree, _, forged = echoed_k_forgery
+        bloom_tree, forged = echoed_k_forgery
         kinds = [verify(bloom_tree.root, echoed, element, proof).kind for echoed, element, proof in forged]
         assert VerdictKind.DEFINITELY_ABSENT not in kinds
 
     def test_forged_proofs_under_the_true_params_are_never_absent(self, echoed_k_forgery):
-        bloom_tree, _, forged = echoed_k_forgery
+        bloom_tree, forged = echoed_k_forgery
         assert any(isinstance(proof, AbsenceProof) for _, _, proof in forged)
         params = bloom_tree.filter.params
         for _, element, proof in forged:
