@@ -75,7 +75,10 @@ def optimal_bit_count(n: int, p: float) -> int:
         raise ValueError(f"expected element count must be >= 1, got {n}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"target false-positive rate must be in (0, 1), got {p}")
-    return math.ceil(n * -math.log(p) / _LN2**2)
+    try:
+        return math.ceil(n * -math.log(p) / _LN2**2)
+    except OverflowError:
+        raise ValueError("expected element count is too large: the optimal bit count overflows a float") from None
 
 
 def derive_params(n: int, p: float, chunk_size: int) -> BloomParams:
@@ -88,7 +91,8 @@ def derive_params(n: int, p: float, chunk_size: int) -> BloomParams:
     MAX_K. BloomParams checks the chunk size.
     """
     m = max(chunk_size * 8, 1 << (optimal_bit_count(n, p) - 1).bit_length())
-    k = min(MAX_K, max(1, round(m / n * _LN2)))
+    # k is MAX_K from 2 * MAX_K bits per element up: the cap changes no k and keeps m / n a float.
+    k = min(MAX_K, max(1, round(min(m, 2 * MAX_K * n) / n * _LN2)))
     return BloomParams(m=m, k=k, chunk_size=chunk_size)
 
 
@@ -96,7 +100,7 @@ def fpr(m: int, k: int, n: int) -> float:
     """Analytic false-positive rate (1 - (1 - 1/m)^(k*n))^k.
 
     The inner power is evaluated as exp(k*n*ln(1 - 1/m)) to stay accurate
-    for large m.
+    for large m. A value beyond a float's range raises ValueError.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -108,8 +112,10 @@ def fpr(m: int, k: int, n: int) -> float:
         return 0.0
     if m == 1:
         return 1.0  # the single bit is set by any insert
-    inner = math.exp(k * n * math.log1p(-1.0 / m))
-    return (1.0 - inner) ** k
+    try:
+        return (1.0 - math.exp(k * n * math.log1p(-1.0 / m))) ** k
+    except OverflowError:
+        raise ValueError("m, k and n are too large to evaluate in floats") from None
 
 
 def indices(element: bytes, params: BloomParams) -> list[int]:

@@ -30,7 +30,7 @@ def main(argv=None) -> int:
     except (codec.CodecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         # bad flag values (fpr out of range, zero n, a number too large for a float, ...)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

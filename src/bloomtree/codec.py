@@ -28,7 +28,6 @@ against the remaining input before anything is sliced out.
 """
 
 import struct
-from typing import Union
 
 from .bloom import BloomFilter, BloomParams
 from .merkle import DIGEST_SIZE, _split
@@ -41,7 +40,7 @@ VERSION = 1
 PRESENCE_KIND = 0x01
 ABSENCE_KIND = 0x02
 
-Proof = Union[PresenceProof, AbsenceProof]
+Proof = PresenceProof | AbsenceProof
 
 _PARAMS = struct.Struct("<QII")  # m u64 | k u32 | chunk_size u32
 _COUNT = struct.Struct("<H")

@@ -9,11 +9,12 @@ fixed seed, down to the emitted CSV bytes.
 """
 
 import random
+import statistics
 from dataclasses import astuple, dataclass
 
 from .bloom import BloomFilter, derive_params
 from .codec import encode_proof
-from .tree import AbsenceProof, BloomTree, PresenceProof, VerdictKind, build, prove, verify
+from .tree import AbsenceProof, BloomTree, VerdictKind, build, prove, verify
 
 DEFAULT_CHUNK_SIZES = (8, 32, 64)
 DEFAULT_FPRS = (0.1, 0.01, 0.001)
@@ -73,8 +74,8 @@ def run_cell(
 
     Presence sizes come from the first min(sample_size, n) inserted
     elements; the absence size from the first fresh element whose proof
-    comes out as an absence proof. Every measured proof is verified against
-    the root before its size is recorded.
+    is an absence proof. Each element is proved once, and each proof is
+    verified against the root before its size is recorded.
     """
     params = derive_params(n, fpr_target, chunk_size)
     stream = _element_stream(f"bloomtree-experiment|{seed}|{chunk_size}|{fpr_target!r}|{n}")
@@ -85,8 +86,8 @@ def run_cell(
         filt.insert(element)
     bloom_tree = build(filt)
 
-    median_presence = lower_median(
-        _measured_size(bloom_tree, element, PresenceProof, VerdictKind.MAYBE_PRESENT)
+    median_presence = statistics.median_low(
+        _measured_size(bloom_tree, element, prove(bloom_tree, element), VerdictKind.MAYBE_PRESENT)
         for element in inserted[:sample_size]
     )
     absence_size = _absence_specimen_size(bloom_tree, stream, max_draws=10 * sample_size)
@@ -137,14 +138,6 @@ def format_summary(rows: list[ExperimentRow]) -> str:
     return "\n".join([header, "-" * len(header), *body])
 
 
-def lower_median(values) -> int:
-    """Median taking the lower middle on even counts."""
-    ordered = sorted(values)
-    if not ordered:
-        raise ValueError("median of an empty sample")
-    return ordered[(len(ordered) - 1) // 2]
-
-
 def _element_stream(seed_key: str):
     """Endless stream of distinct pseudo-random elements for one cell."""
     rng = random.Random(seed_key)
@@ -157,11 +150,9 @@ def _element_stream(seed_key: str):
         yield element
 
 
-def _measured_size(bloom_tree: BloomTree, element: bytes, expected_type, expected_kind) -> int:
+def _measured_size(bloom_tree: BloomTree, element: bytes, proof, expected_kind) -> int:
+    """Encoded size of ``proof``, once it verifies as ``expected_kind``: a proof of the other kind cannot."""
     params = bloom_tree.filter.params
-    proof = prove(bloom_tree, element)
-    if not isinstance(proof, expected_type):
-        raise RuntimeError(f"expected a {expected_type.__name__} for measured element")
     verdict = verify(bloom_tree.root, params, element, proof)
     if verdict.kind is not expected_kind:
         raise RuntimeError(f"measured proof failed verification: {verdict}")
@@ -169,14 +160,15 @@ def _measured_size(bloom_tree: BloomTree, element: bytes, expected_type, expecte
 
 
 def _absence_specimen_size(bloom_tree: BloomTree, stream, max_draws: int) -> int:
-    """Encoded size of an absence proof for the first absent fresh element.
+    """Encoded size of the absence proof of the first fresh element that gets one.
 
-    Fresh draws that happen to be false positives are skipped; with
-    realistic false-positive targets the first draw almost always works.
+    Each draw is proved once. A draw that happens to be a false positive
+    gets a presence proof and is skipped; with realistic false-positive
+    targets the first draw almost always works.
     """
     for _ in range(max_draws):
         element = next(stream)
-        if bloom_tree.filter.contains(element):
-            continue
-        return _measured_size(bloom_tree, element, AbsenceProof, VerdictKind.DEFINITELY_ABSENT)
+        proof = prove(bloom_tree, element)
+        if isinstance(proof, AbsenceProof):
+            return _measured_size(bloom_tree, element, proof, VerdictKind.DEFINITELY_ABSENT)
     raise RuntimeError(f"no absence-yielding element found in {max_draws} draws; filter is saturated")

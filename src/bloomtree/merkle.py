@@ -20,9 +20,9 @@ import functools
 import hashlib
 import operator
 import struct
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterator, Sequence
 
 DIGEST_SIZE = 32
 
@@ -92,23 +92,21 @@ def build_tree(leaves: Sequence[Digest]) -> MerkleTree:
 
 
 def _tree_over(leaf_level: bytes) -> MerkleTree:
-    """The tree whose leaf level is ``leaf_level``, a power-of-two number of digests."""
-    levels = [leaf_level]
-    while len(levels[-1]) > DIGEST_SIZE:
-        levels.append(_parent_level(levels[-1]))
-    return MerkleTree(levels=tuple(levels))
+    """The tree whose leaf level is ``leaf_level``, a power-of-two number of digests.
 
-
-def _parent_level(level: bytes) -> bytes:
-    """The level above ``level``: one node_hash per pair of adjacent digests."""
+    Each level above is the node_hash of each 64-byte pair of the level
+    below, hashed behind the 0x01 prefix straight from its block's one cut.
+    """
     sha256 = hashlib.sha256
     prefix = _NODE_PREFIX
 
     def parents(start: int, pairs: tuple[bytes, ...]) -> list[Digest]:
-        preimages = _layout(len(pairs), 1 + 2 * DIGEST_SIZE).unpack(prefix + prefix.join(pairs))
-        return [sha256(preimage).digest() for preimage in preimages]
+        return [sha256(prefix + pair).digest() for pair in pairs]
 
-    return _in_blocks(level, 2 * DIGEST_SIZE, parents)
+    levels = [leaf_level]
+    while len(levels[-1]) > DIGEST_SIZE:
+        levels.append(_in_blocks(levels[-1], 2 * DIGEST_SIZE, parents))
+    return MerkleTree(levels=tuple(levels))
 
 
 def _in_blocks(buffer: bytes, width: int, digests: Callable[[int, tuple[bytes, ...]], list[Digest]]) -> bytes:
@@ -131,13 +129,13 @@ def _blocks(buffer: bytes, width: int) -> Iterator[tuple[int, tuple[bytes, ...]]
     once. ``width`` is at most _BLOCK_BYTES, the largest chunk size.
 
     This is the memory bound of a build. The leaf pass of tree.build and
-    each level pass of build_tree hash one block at a time through
-    _in_blocks and join its digests at once, so beyond the tree they return
-    they hold one block of field, preimage and digest objects (under 0.2 MB
-    at the largest chunk size, under 0.1 MB for a block of digest pairs) and
-    the joined blocks of the level in progress. Those are the size of the
-    levels still to come, so a build peaks about one block above the
-    finished tree.
+    each level pass of _tree_over hash one block at a time through
+    _in_blocks, one preimage at a time, and join its digests at once, so
+    beyond the tree they return they hold one block of field and digest
+    objects (under 0.2 MB at the largest chunk size, under 0.1 MB for a
+    block of digest pairs) and the joined blocks of the level in progress.
+    Those are the size of the levels still to come, so a build peaks about
+    one block above the finished tree.
     """
     count = len(buffer) // width
     step = min(_BLOCK_FIELDS, _BLOCK_BYTES // width)

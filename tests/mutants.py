@@ -64,10 +64,10 @@ MUTANTS = (
         ("tests/test_merkle.py::TestSingleProof::test_bool_leaf_index_is_false",),
     ),
     Mutant(
-        "_parent_level hashes pairs without the 0x01 prefix",
+        "_tree_over hashes pairs without the 0x01 prefix",
         "merkle.py",
-        "sha256(preimage).digest() for preimage in preimages",
-        "sha256(preimage[1:]).digest() for preimage in preimages",
+        "sha256(prefix + pair).digest() for pair in pairs",
+        "sha256(pair).digest() for pair in pairs",
         ("tests/test_golden.py::test_wide_tree_levels_are_pinned",),
     ),
     Mutant(
@@ -145,6 +145,68 @@ MUTANTS = (
         "@functools.lru_cache(maxsize=_LAYOUTS_KEPT)",
         "@functools.lru_cache(maxsize=None)",
         ("tests/test_codec.py::TestProofCodec::test_declared_chunk_sizes_leave_bounded_memory",),
+    ),
+    Mutant(
+        "verify takes a presence chunk of any length or type",
+        "tree.py",
+        'if not isinstance(chunk, (bytes, bytearray)) or len(chunk) != size:\n'
+        '                return Verdict.invalid(f"chunk {chunk_index} is not',
+        'if False:\n'
+        '                return Verdict.invalid(f"chunk {chunk_index} is not',
+        ("tests/test_tree.py::TestVerify::test_junk_fields_in_an_honest_proof_are_invalid_with_their_reason",),
+    ),
+    Mutant(
+        "verify takes an absence chunk of any length or type",
+        "tree.py",
+        'if not isinstance(chunk, (bytes, bytearray)) or len(chunk) != size:\n'
+        '            return Verdict.invalid(f"chunk is not',
+        'if False:\n'
+        '            return Verdict.invalid(f"chunk is not',
+        ("tests/test_tree.py::TestVerify::test_junk_fields_in_an_honest_proof_are_invalid_with_their_reason",),
+    ),
+    Mutant(
+        "verify takes an absence path that is not iterable",
+        "tree.py",
+        "        try:\n"
+        "            path = list(proof.path)\n"
+        "        except TypeError:\n"
+        '            return Verdict.invalid("malformed absence proof path")\n',
+        "        path = proof.path\n",
+        ("tests/test_tree.py::TestVerify::test_junk_fields_in_an_honest_proof_are_invalid_with_their_reason",),
+    ),
+    Mutant(
+        "optimal_bit_count lets a float overflow out as OverflowError",
+        "bloom.py",
+        "except OverflowError:\n        raise ValueError(\"expected element count",
+        "except ZeroDivisionError:\n        raise ValueError(\"expected element count",
+        (
+            "tests/test_bloom.py::TestDeriveParams::test_inputs_too_large_for_a_float_raise_value_error",
+            "tests/test_cli.py::TestParams::test_value_too_large_for_a_float_is_usage_error",
+        ),
+    ),
+    Mutant(
+        "derive_params divides an m beyond a float by n",
+        "bloom.py",
+        "round(min(m, 2 * MAX_K * n) / n * _LN2)",
+        "round(m / n * _LN2)",
+        (
+            "tests/test_bloom.py::TestDeriveParams::test_inputs_too_large_for_a_float_raise_value_error",
+            "tests/test_cli.py::TestParams::test_value_too_large_for_a_float_is_usage_error",
+        ),
+    ),
+    Mutant(
+        "fpr lets a float overflow out as OverflowError",
+        "bloom.py",
+        "except OverflowError:\n        raise ValueError(\"m, k and n",
+        "except ZeroDivisionError:\n        raise ValueError(\"m, k and n",
+        ("tests/test_bloom.py::TestFpr::test_rejects_bad_arguments",),
+    ),
+    Mutant(
+        "the grid takes the upper median",
+        "experiment.py",
+        "statistics.median_low(",
+        "statistics.median_high(",
+        ("tests/test_experiment.py::TestGrid::test_default_grid_output_is_pinned",),
     ),
 )
 

@@ -94,6 +94,15 @@ class TestDeriveParams:
         with pytest.raises(ValueError):
             derive_params(100, 0.01, chunk_size)
 
+    def test_inputs_too_large_for_a_float_raise_value_error(self):
+        # Each overflows a float on the way: n * -ln(p) in optimal_bit_count,
+        # m / n in the choice of k. ValueError, not OverflowError, as for any
+        # other bad input; the chunk size is refused by BloomParams' own check.
+        with pytest.raises(ValueError, match="optimal bit count overflows a float"):
+            derive_params(10**400, 0.01, 32)
+        with pytest.raises(ValueError, match="chunk_size must be a power of two"):
+            derive_params(1, 0.5, 2**1100)
+
     @given(
         n=st.integers(min_value=1, max_value=10**6),
         p=st.floats(min_value=1e-9, max_value=0.99),
@@ -194,6 +203,10 @@ class TestFpr:
             fpr(10, 0, 1)
         with pytest.raises(ValueError):
             fpr(10, 1, -1)
+        # Values beyond a float's range are bad arguments too, not an OverflowError.
+        for m, k, n in ((2**20, 3, 10**400), (10**400, 3, 5), (2**20, 10**400, 5)):
+            with pytest.raises(ValueError, match="too large to evaluate in floats"):
+                fpr(m, k, n)
 
     def test_monotone_in_n(self):
         values = [fpr(4096, 4, n) for n in (0, 10, 100, 1000, 10000)]

@@ -202,6 +202,11 @@ class TestProveVerify:
         proof = tmp_path / "p.proof"
         run_cli("prove", "--filter", str(filter_file), "--element", "alpha", "--out", str(proof))
         assert run_cli("verify", "--root", "zz", "--element", "alpha", "--proof", str(proof)) == 3
+        assert "root is not valid hex" in capsys.readouterr().err
+        # Valid hex of the wrong length is refused too.
+        for root in ("00" * 31, "00" * 33):
+            assert run_cli("verify", "--root", root, "--element", "alpha", "--proof", str(proof)) == 3
+            assert "root must be 32 bytes" in capsys.readouterr().err
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert run_cli("root", "--filter", str(tmp_path / "absent.blt")) == 3
@@ -291,8 +296,10 @@ def test_verify_by_root_never_proves_an_inserted_element_absent(tmp_path, capsys
 
 
 def test_cli_import_leaves_the_experiment_module_unloaded():
-    result = run_python("-c", "import sys, bloomtree.cli; print('bloomtree.experiment' in sys.modules)")
-    assert (result.returncode, result.stdout) == (0, "False\n")
+    # -S: without site, whose .pth files may import typing themselves.
+    code = "import sys, bloomtree.cli; print('bloomtree.experiment' in sys.modules, 'typing' in sys.modules)"
+    result = run_python("-S", "-c", code)
+    assert (result.returncode, result.stdout) == (0, "False False\n")
 
 
 def test_module_invocation_smoke(tmp_path):

@@ -259,6 +259,11 @@ class TestProofCodec:
             codec.encode_proof(GOLDEN_PARAMS, AbsenceProof(2**64, bytes(8), ()))
         with pytest.raises(TypeError):
             codec.encode_proof(GOLDEN_PARAMS, "not a proof")
+        # The counts must agree with each other and fit their u16 fields.
+        with pytest.raises(ValueError, match="chunk index count and chunk count disagree"):
+            codec.encode_proof(GOLDEN_PARAMS, PresenceProof((0, 1), (GOLDEN_BITS,), ()))
+        with pytest.raises(ValueError, match="too large for u16 count fields"):
+            codec.encode_proof(GOLDEN_PARAMS, AbsenceProof(0, bytes(8), (bytes(32),) * 0x10000))
 
 
 class TestFuzz:

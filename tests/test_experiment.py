@@ -11,7 +11,6 @@ from bloomtree.experiment import (
     _absence_specimen_size,
     _element_stream,
     format_summary,
-    lower_median,
     rows_to_csv,
     run_cell,
     run_grid,
@@ -20,21 +19,6 @@ from bloomtree.experiment import (
 from bloomtree.tree import build
 
 TINY = ExperimentConfig(chunk_sizes=(8,), fprs=(0.1,), ns=(50, 120), sample_size=9, seed=3)
-
-
-class TestLowerMedian:
-    def test_odd_count(self):
-        assert lower_median([5, 1, 9]) == 5
-
-    def test_even_count_takes_lower_middle(self):
-        assert lower_median([4, 1, 9, 6]) == 4
-
-    def test_single_value(self):
-        assert lower_median([7]) == 7
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            lower_median([])
 
 
 class TestRunCell:

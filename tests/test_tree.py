@@ -429,6 +429,28 @@ class TestVerify:
             assert verdict.kind is VerdictKind.INVALID
             assert verdict.reason
 
+    def test_junk_fields_in_an_honest_proof_are_invalid_with_their_reason(self):
+        # Honest proofs with one field replaced, so each check is the one that
+        # meets the junk: a chunk of the wrong length or type, or a path that
+        # is not iterable.
+        bloom_tree, inserted, rng = populated_tree(seed=29)
+        params = bloom_tree.filter.params
+        present = prove(bloom_tree, inserted[0])
+        absent = next(e for e in iter(lambda: rng.randbytes(13), None) if not bloom_tree.filter.contains(e))
+        absence = prove(bloom_tree, absent)
+        assert isinstance(present, PresenceProof) and isinstance(absence, AbsenceProof)
+        first = present.chunk_indices[0]
+        cases = []
+        for junk in (b"", None, 7, present.chunks[0] + b"\x00", present.chunks[0][:-1]):
+            chunks = (junk, *present.chunks[1:])
+            cases.append((inserted[0], dataclasses.replace(present, chunks=chunks), f"chunk {first} is not exactly 8 bytes"))
+            cases.append((absent, dataclasses.replace(absence, chunk=junk), "chunk is not exactly 8 bytes"))
+        for junk in (None, 7):
+            cases.append((absent, dataclasses.replace(absence, path=junk), "malformed absence proof path"))
+        for element, proof, reason in cases:
+            verdict = verify(bloom_tree.root, params, element, proof)
+            assert (verdict.kind, verdict.reason) == (VerdictKind.INVALID, reason), proof
+
     def test_junk_digests_in_an_honest_proof_are_invalid(self):
         # The chunks match the element, so each junk digest reaches the root
         # reconstruction; only the proof's own digests are checked there.
