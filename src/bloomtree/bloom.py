@@ -24,6 +24,13 @@ _LN2 = math.log(2)
 _H1_H2 = struct.Struct("<QQ")
 
 
+def _shown(value) -> str:
+    """str(value) for an error message, but the bit length of an int of 2^64 or more: str() fails past 4,300 digits."""
+    if isinstance(value, int) and abs(value) >> 64:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    return str(value)
+
+
 @dataclass(frozen=True)
 class BloomParams:
     """Filter geometry shared by prover and verifier.
@@ -43,13 +50,13 @@ class BloomParams:
         size = self.chunk_size
         if not MIN_CHUNK_SIZE <= size <= MAX_CHUNK_SIZE or size & (size - 1):
             raise ValueError(
-                f"chunk_size must be a power of two in [{MIN_CHUNK_SIZE}, {MAX_CHUNK_SIZE}], got {size}"
+                f"chunk_size must be a power of two in [{MIN_CHUNK_SIZE}, {MAX_CHUNK_SIZE}], got {_shown(size)}"
             )
         if not 1 <= self.k <= MAX_K:
-            raise ValueError(f"k must be in [1, {MAX_K}], got {self.k}")
+            raise ValueError(f"k must be in [1, {MAX_K}], got {_shown(self.k)}")
         m = self.m
         if not size * 8 <= m < (1 << 64) or m & (m - 1):
-            raise ValueError(f"m must be a power of two in [{size * 8}, 2^64), got {m}")
+            raise ValueError(f"m must be a power of two in [{size * 8}, 2^64), got {_shown(m)}")
 
     @property
     def chunk_bits(self) -> int:
@@ -72,9 +79,9 @@ class BloomParams:
 def optimal_bit_count(n: int, p: float) -> int:
     """Unpadded optimal bit count ceil(n * -ln(p) / ln(2)^2) for ``n`` elements at rate ``p``."""
     if n < 1:
-        raise ValueError(f"expected element count must be >= 1, got {n}")
+        raise ValueError(f"expected element count must be >= 1, got {_shown(n)}")
     if not 0.0 < p < 1.0:
-        raise ValueError(f"target false-positive rate must be in (0, 1), got {p}")
+        raise ValueError(f"target false-positive rate must be in (0, 1), got {_shown(p)}")
     try:
         return math.ceil(n * -math.log(p) / _LN2**2)
     except OverflowError:
@@ -103,11 +110,11 @@ def fpr(m: int, k: int, n: int) -> float:
     for large m. A value beyond a float's range raises ValueError.
     """
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise ValueError(f"m must be >= 1, got {_shown(m)}")
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ValueError(f"k must be >= 1, got {_shown(k)}")
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise ValueError(f"n must be >= 0, got {_shown(n)}")
     if n == 0:
         return 0.0
     if m == 1:
@@ -146,9 +153,9 @@ class BloomFilter:
     first. Build is single-writer; once the owner stops inserting, the
     filter is safe for unlimited concurrent readers.
 
-    ``bits`` given as ``bytes`` are kept as they are, which makes the
-    filter read-only (insert raises TypeError); any other buffer is copied
-    into a fresh ``bytearray`` the filter owns.
+    ``bits`` given as ``bytes`` are kept as they are, which makes the filter
+    read-only (insert raises TypeError); any other bytes-like object is copied
+    into a ``bytearray`` the filter owns, and an int or a list raises TypeError.
     """
 
     params: BloomParams
@@ -159,7 +166,7 @@ class BloomFilter:
             self.bits = bytearray(self.params.byte_length)
         else:
             if type(self.bits) is not bytes:
-                self.bits = bytearray(self.bits)
+                self.bits = bytearray(memoryview(self.bits))
             if len(self.bits) != self.params.byte_length:
                 raise ValueError(
                     f"backing array must be exactly {self.params.byte_length} bytes, got {len(self.bits)}"
@@ -195,13 +202,13 @@ class BloomFilter:
     def bit(self, index: int) -> int:
         """Value (0 or 1) of the bit at a global bit index."""
         if not 0 <= index < self.params.m:
-            raise IndexError(f"bit {index} out of range for m={self.params.m}")
+            raise IndexError(f"bit {_shown(index)} out of range for m={self.params.m}")
         return (self.bits[index >> 3] >> (index & 7)) & 1
 
     def chunk(self, chunk_index: int) -> bytes:
         """Raw bytes of one chunk of the bit array."""
         if not 0 <= chunk_index < self.params.chunk_count:
-            raise IndexError(f"chunk {chunk_index} out of range for {self.params.chunk_count} chunks")
+            raise IndexError(f"chunk {_shown(chunk_index)} out of range for {self.params.chunk_count} chunks")
         size = self.params.chunk_size
         start = chunk_index * size
         return bytes(self.bits[start : start + size])

@@ -210,7 +210,3 @@ def _parse_list(text, conv):
     if text is None:
         return None
     return tuple(map(conv, text.split(","))) if text else ()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

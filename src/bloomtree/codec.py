@@ -76,10 +76,10 @@ class InvalidField(CodecError):
 
 
 class _Reader:
-    """Cursor over an immutable buffer; every read bounds-checks first."""
+    """Cursor over ``bytes``, read in place, or a copy of any other bytes-like input; reads bounds-check first."""
 
     def __init__(self, data: bytes):
-        self.data = bytes(data)
+        self.data = data if type(data) is bytes else bytes(memoryview(data))
         self.offset = 0
 
     def take(self, count: int) -> bytes:

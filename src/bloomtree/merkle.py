@@ -59,10 +59,6 @@ class MerkleTree:
         return len(self.levels[0]) // DIGEST_SIZE
 
     @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-    @property
     def root(self) -> Digest:
         return self.levels[-1]
 

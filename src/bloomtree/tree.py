@@ -32,8 +32,8 @@ _LEAF_HEAD = struct.Struct("<BQ")
 
 
 def leaf_hash(chunk_index: int, chunk: bytes) -> Digest:
-    """Digest of a chunk salted with its index; see _leaf_hashes."""
-    return _leaf_hashes([(chunk_index, bytes(chunk))])[0]
+    """Digest of a bytes-like chunk salted with its index (anything else raises TypeError); see _leaf_hashes."""
+    return _leaf_hashes([(chunk_index, chunk)])[0]
 
 
 def _leaf_hashes(indexed_chunks) -> list[Digest]:

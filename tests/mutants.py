@@ -202,6 +202,41 @@ MUTANTS = (
         ("tests/test_bloom.py::TestFpr::test_rejects_bad_arguments",),
     ),
     Mutant(
+        "BloomFilter turns an int or a list of ints into a backing array",
+        "bloom.py",
+        "self.bits = bytearray(memoryview(self.bits))",
+        "self.bits = bytearray(self.bits)",
+        ("tests/test_bloom.py::TestFilter::test_backing_array_must_be_bytes_like",),
+    ),
+    Mutant(
+        "leaf_hash turns an int chunk into zero bytes",
+        "tree.py",
+        "return _leaf_hashes([(chunk_index, chunk)])[0]",
+        "return _leaf_hashes([(chunk_index, bytes(chunk))])[0]",
+        ("tests/test_tree.py::TestLeafHash::test_chunk_must_be_bytes_like",),
+    ),
+    Mutant(
+        "the decoders turn an int into zero bytes",
+        "codec.py",
+        "self.data = data if type(data) is bytes else bytes(memoryview(data))",
+        "self.data = bytes(data)",
+        ("tests/test_codec.py::test_input_that_is_not_bytes_like_raises_type_error",),
+    ),
+    Mutant(
+        "BloomParams formats k raw in its message",
+        "bloom.py",
+        'got {_shown(self.k)}"',
+        'got {self.k}"',
+        ("tests/test_bloom.py::test_messages_state_their_rule_for_any_int[params-k]",),
+    ),
+    Mutant(
+        "verify takes a presence proof's chunks without the multiproof",
+        "tree.py",
+        "if not _reconstructs(root, params, claimed, multiproof):",
+        "if False:",
+        ("tests/test_codec.py::TestVerdictsOnProofBytes::test_tampered_bytes_never_contradict_the_committed_filter",),
+    ),
+    Mutant(
         "the grid takes the upper median",
         "experiment.py",
         "statistics.median_low(",

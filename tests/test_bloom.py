@@ -19,6 +19,7 @@ from bloomtree.bloom import (
     indices,
     optimal_bit_count,
 )
+from bloomtree.experiment import ExperimentConfig
 
 # Geometry small enough for exhaustive-ish property runs.
 SMALL_PARAMS = BloomParams(m=1024, k=5, chunk_size=8)
@@ -213,6 +214,38 @@ class TestFpr:
         assert values == sorted(values)
 
 
+# str() of an int past 4,300 digits raises ValueError itself, so a message that
+# formatted such a value raw would never state its rule.
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    ("call", "sign", "rule"),
+    [
+        (lambda v: BloomParams(m=256, k=1, chunk_size=v), 1, "chunk_size must be a power of two in [1, 65536]"),
+        (lambda v: BloomParams(m=256, k=v, chunk_size=32), 1, f"k must be in [1, {MAX_K}]"),
+        (lambda v: BloomParams(m=v, k=1, chunk_size=32), 1, "m must be a power of two in [256, 2^64)"),
+        (lambda v: derive_params(10, 0.1, v), 1, "chunk_size must be a power of two in [1, 65536]"),
+        (lambda v: optimal_bit_count(v, 0.1), -1, "expected element count must be >= 1"),
+        (lambda v: optimal_bit_count(10, v), 1, "target false-positive rate must be in (0, 1)"),
+        (lambda v: fpr(v, 1, 1), -1, "m must be >= 1"),
+        (lambda v: fpr(64, v, 1), -1, "k must be >= 1"),
+        (lambda v: fpr(64, 1, v), -1, "n must be >= 0"),
+        (lambda v: ExperimentConfig(sample_size=v), -1, "sample_size must be >= 1"),
+    ],
+    ids=["params-chunk_size", "params-k", "params-m", "derive_params", "optimal_n", "optimal_p",
+         "fpr-m", "fpr-k", "fpr-n", "experiment-sample_size"],
+)
+def test_messages_state_their_rule_for_any_int(call, sign, rule):
+    # Below 2^64 a value prints in decimal, as it always has; from 2^64 up, as its bit length.
+    article = "a negative" if sign < 0 else "an"
+    for value, shown in ((2**64 - 1, str(sign * (2**64 - 1))), (2**64, f"{article} int of 65 bits"),
+                         (HUGE, f"{article} int of 16610 bits")):
+        with pytest.raises(ValueError) as raised:
+            call(sign * value)
+        assert str(raised.value) == f"{rule}, got {shown}"
+
+
 class TestIndices:
     def test_empty_string_first_index(self):
         # h1 = little-endian u64 of sha256("")[0:8] = 0x141cfc9842c4b0e3; mod 1024 = 227
@@ -254,6 +287,22 @@ class TestFilter:
         with pytest.raises(ValueError):
             BloomFilter(SMALL_PARAMS, bytearray(3))
 
+    @pytest.mark.parametrize("bits", [512, [0] * 512], ids=["int", "list"])
+    def test_backing_array_must_be_bytes_like(self, bits):
+        # bytearray() alone would turn either into 512 zero bytes: an empty filter.
+        with pytest.raises(TypeError):
+            BloomFilter(BloomParams(m=4096, k=3, chunk_size=8), bits)
+
+    def test_bytes_like_backing_arrays_give_equal_filters(self):
+        params = BloomParams(m=4096, k=3, chunk_size=8)
+        data = random.Random(5).randbytes(params.byte_length)
+        shared = BloomFilter(params, data)
+        assert shared.bits is data
+        for other in (bytearray(data), memoryview(data)):
+            copied = BloomFilter(params, other)
+            assert type(copied.bits) is bytearray and copied.bits is not other
+            assert copied == shared
+
     def test_insert_sets_at_most_k_bits(self):
         filt = BloomFilter(SMALL_PARAMS)
         filt.insert(b"one element")
@@ -289,13 +338,13 @@ class TestFilter:
         assert filt.bit(1) == 0
         assert filt.bit(10) == 0
 
-    @pytest.mark.parametrize("index", [-1, -64, 64, 65])
+    @pytest.mark.parametrize("index", [-1, -64, 64, 65, pytest.param(HUGE, id="huge")])
     def test_bit_out_of_range_raises(self, index):
         filt = BloomFilter(BloomParams(m=64, k=1, chunk_size=8), bytearray([0xFF] * 8))
         with pytest.raises(IndexError):
             filt.bit(index)
 
-    @pytest.mark.parametrize("index", [-1, -2, 4, 5])
+    @pytest.mark.parametrize("index", [-1, -2, 4, 5, pytest.param(HUGE, id="huge")])
     def test_chunk_out_of_range_raises(self, index):
         filt = BloomFilter(BloomParams(m=4 * 16, k=1, chunk_size=2), bytearray(range(8)))
         with pytest.raises(IndexError):

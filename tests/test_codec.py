@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bloomtree import codec
 from bloomtree.bloom import MAX_CHUNK_SIZE, BloomFilter, BloomParams
-from bloomtree.tree import AbsenceProof, PresenceProof, build, prove
+from bloomtree.tree import AbsenceProof, PresenceProof, VerdictKind, build, prove, verify
 
 # Tiny fixed filter: one chunk of 8 bytes, k = 2. Frozen from the layout
 # definition plus a standalone SHA-256 of 0x00 || LE64(0) || chunk.
@@ -264,6 +264,86 @@ class TestProofCodec:
             codec.encode_proof(GOLDEN_PARAMS, PresenceProof((0, 1), (GOLDEN_BITS,), ()))
         with pytest.raises(ValueError, match="too large for u16 count fields"):
             codec.encode_proof(GOLDEN_PARAMS, AbsenceProof(0, bytes(8), (bytes(32),) * 0x10000))
+
+
+@pytest.mark.parametrize("decode", [codec.decode_filter, codec.decode_proof])
+def test_input_that_is_not_bytes_like_raises_type_error(decode):
+    with pytest.raises(TypeError):
+        decode(64)  # not 64 zero bytes, which would fail later as BadMagic
+
+
+def test_bytes_like_inputs_decode_alike():
+    filter_blob = bytes.fromhex(GOLDEN_FILTER_HEX)
+    params, proofs = sample_proofs(6, seed=47)
+    proof_blobs = [codec.encode_proof(params, proof) for proof in proofs]
+    for form in (bytearray, memoryview):
+        assert codec.decode_filter(form(filter_blob)) == codec.decode_filter(filter_blob)
+        for blob in proof_blobs:
+            assert codec.decode_proof(form(blob)) == codec.decode_proof(blob)
+    # bytes are read in place: a load does not pay for a second copy of the filter
+    assert codec._Reader(filter_blob).data is filter_blob
+
+
+@st.composite
+def committed_filters(draw):
+    """A built tree over 0-40 inserted elements, and the elements."""
+    chunk_size = draw(st.sampled_from((1, 8, 32)))
+    depth = draw(st.integers(min_value=0, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=20))
+    params = BloomParams(m=chunk_size * 8 << depth, k=k, chunk_size=chunk_size)
+    inserted = draw(st.lists(st.binary(min_size=1, max_size=12), max_size=40, unique=True))
+    filt = BloomFilter(params)
+    for element in inserted:
+        filt.insert(element)
+    return build(filt), inserted
+
+
+def verdict_on_bytes(bloom_tree, element, blob):
+    """The verdict kind of proof bytes under the tree's own params, with the claimed chunks by index.
+
+    A blob that does not decode is INVALID and claims nothing. The echoed
+    params are never used.
+    """
+    try:
+        _, proof = codec.decode_proof(blob)
+    except codec.CodecError:
+        return VerdictKind.INVALID, {}
+    if isinstance(proof, PresenceProof):
+        claimed = dict(zip(proof.chunk_indices, proof.chunks))
+    else:
+        claimed = {proof.chunk_index: proof.chunk}
+    return verify(bloom_tree.root, bloom_tree.filter.params, element, proof).kind, claimed
+
+
+class TestVerdictsOnProofBytes:
+    @settings(max_examples=150, deadline=None)
+    @given(committed=committed_filters(), data=st.data())
+    def test_tampered_bytes_never_contradict_the_committed_filter(self, committed, data):
+        bloom_tree, inserted = committed
+        fresh = st.binary(max_size=12)
+        element = data.draw(st.one_of(st.sampled_from(inserted), fresh) if inserted else fresh)
+        present = bloom_tree.filter.contains(element)
+        honest = codec.encode_proof(bloom_tree.filter.params, prove(bloom_tree, element))
+        expected = VerdictKind.MAYBE_PRESENT if present else VerdictKind.DEFINITELY_ABSENT
+        assert verdict_on_bytes(bloom_tree, element, honest)[0] is expected
+
+        flips = data.draw(st.lists(st.integers(min_value=0, max_value=8 * len(honest) - 1), max_size=12))
+        cuts = data.draw(st.lists(st.integers(min_value=0, max_value=len(honest) - 1), max_size=6))
+        tampered = [honest + bytes([data.draw(st.integers(min_value=0, max_value=255))])]
+        for bit in flips:
+            blob = bytearray(honest)
+            blob[bit >> 3] ^= 1 << (bit & 7)
+            tampered.append(bytes(blob))
+        tampered += [honest[:length] for length in cuts]
+        for blob in tampered:
+            kind, claimed = verdict_on_bytes(bloom_tree, element, blob)
+            if kind is VerdictKind.MAYBE_PRESENT:
+                assert present
+            elif kind is VerdictKind.DEFINITELY_ABSENT:
+                assert not present and element not in inserted
+            if kind is not VerdictKind.INVALID:
+                # a valid verdict only ever rests on the committed chunks
+                assert all(chunk == bloom_tree.filter.chunk(i) for i, chunk in claimed.items())
 
 
 class TestFuzz:

@@ -56,7 +56,7 @@ class TestBuildTree:
         leaf = leaves_for(1)[0]
         tree = build_tree([leaf])
         assert tree.root == leaf
-        assert tree.depth == 0
+        assert len(tree.levels) == 1
 
     def test_two_leaves(self):
         a, b = leaves_for(2)

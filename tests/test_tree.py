@@ -61,6 +61,15 @@ class TestLeafHash:
     def test_output_length(self):
         assert len(leaf_hash(0, b"")) == 32
 
+    def test_chunk_must_be_bytes_like(self):
+        with pytest.raises(TypeError):
+            leaf_hash(0, 8)  # not eight zero bytes
+
+    def test_bytes_like_chunks_hash_alike(self):
+        chunk = bytes.fromhex("deadbeef00112233")
+        for form in (bytearray(chunk), memoryview(chunk)):
+            assert leaf_hash(3, form).hex() == LEAF_GOLDEN_3
+
 
 class TestLocate:
     @pytest.mark.parametrize(
