@@ -145,7 +145,7 @@ def indices(element: bytes, params: BloomParams) -> list[int]:
     return [x & low for x in range(start, start + params.k * step, step)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BloomFilter:
     """A bit array of exactly ``params.m`` bits plus its geometry.
 
@@ -156,21 +156,22 @@ class BloomFilter:
     ``bits`` given as ``bytes`` are kept as they are, which makes the filter
     read-only (insert raises TypeError); any other bytes-like object is copied
     into a ``bytearray`` the filter owns, and an int or a list raises TypeError.
+    The fields are frozen, so ``bits`` stays the buffer that was checked;
+    insert sets bits inside a ``bytearray``.
     """
 
     params: BloomParams
     bits: bytearray | bytes | None = None
 
     def __post_init__(self):
-        if self.bits is None:
-            self.bits = bytearray(self.params.byte_length)
-        else:
-            if type(self.bits) is not bytes:
-                self.bits = bytearray(memoryview(self.bits))
-            if len(self.bits) != self.params.byte_length:
-                raise ValueError(
-                    f"backing array must be exactly {self.params.byte_length} bytes, got {len(self.bits)}"
-                )
+        bits = self.bits
+        if bits is None:
+            bits = bytearray(self.params.byte_length)
+        elif type(bits) is not bytes:
+            bits = bytearray(memoryview(bits))
+        if len(bits) != self.params.byte_length:
+            raise ValueError(f"backing array must be exactly {self.params.byte_length} bytes, got {len(bits)}")
+        object.__setattr__(self, "bits", bits)
 
     def insert(self, element: bytes) -> None:
         """Set all k bits the element maps to: the bits of :func:`indices`.
@@ -198,12 +199,6 @@ class BloomFilter:
         """
         bits = self.bits
         return all((bits[i >> 3] >> (i & 7)) & 1 for i in indices(element, self.params))
-
-    def bit(self, index: int) -> int:
-        """Value (0 or 1) of the bit at a global bit index."""
-        if not 0 <= index < self.params.m:
-            raise IndexError(f"bit {_shown(index)} out of range for m={self.params.m}")
-        return (self.bits[index >> 3] >> (index & 7)) & 1
 
     def chunk(self, chunk_index: int) -> bytes:
         """Raw bytes of one chunk of the bit array."""

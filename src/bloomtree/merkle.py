@@ -33,7 +33,6 @@ _NODE_PREFIX = b"\x01"
 _BLOCK_FIELDS = 256
 _BLOCK_BYTES = 64 * 1024
 _LAYOUTS_KEPT = 128  # a layout keeps about 35 bytes per field: at most about 1.2 MB in all
-_DIGEST_TYPES = {bytes, bytearray}
 
 
 def node_hash(left: Digest, right: Digest) -> Digest:
@@ -61,14 +60,6 @@ class MerkleTree:
     @property
     def root(self) -> Digest:
         return self.levels[-1]
-
-    def node(self, level: int, index: int) -> Digest:
-        """Digest of node ``index`` of level ``level`` (level 0 holds the leaves)."""
-        buffer = self.levels[level]
-        if not 0 <= index < len(buffer) // DIGEST_SIZE:
-            raise IndexError(f"node {index} out of range for level {level}")
-        start = index * DIGEST_SIZE
-        return buffer[start : start + DIGEST_SIZE]
 
 
 def build_tree(leaves: Sequence[Digest]) -> MerkleTree:
@@ -177,11 +168,11 @@ def verify_single(
 def prove_multi(tree: MerkleTree, leaf_indices: Sequence[int]) -> list[Digest]:
     """One proof covering several leaves, sharing interior digests.
 
-    leaf_indices must be strictly increasing, in range and ints (a bool is
-    not). The proof holds only the sibling digests the verifier cannot
-    recompute, in the canonical schedule order described in the module
-    docstring. Requesting all leaves yields an empty proof; requesting one
-    leaf yields its sibling path, one digest per level.
+    leaf_indices must be strictly increasing, in range and exact ints (no
+    bool or other subclass). The proof holds only the sibling digests the
+    verifier cannot recompute, in the canonical schedule order described in
+    the module docstring. Requesting all leaves yields an empty proof;
+    requesting one leaf yields its sibling path, one digest per level.
     """
     known = list(leaf_indices)
     if not _are_leaf_indices(known, tree.leaf_count):
@@ -227,7 +218,7 @@ def verify_multi(
     """Replay the prove_multi schedule, consuming proof digests in order.
 
     leaf_entries are (leaf_index, digest) pairs sorted by strictly
-    increasing index, each index of type int (a bool is not). True iff the
+    increasing index, each index an exact int (a bool is not). True iff the
     reconstructed root matches and the proof is consumed exactly: underflow,
     leftovers, duplicate or out-of-range indices all yield False, as does any
     other malformed input.
@@ -299,23 +290,34 @@ def _verify_leaves(
 
 
 def _is_power_of_two(value) -> bool:
-    return isinstance(value, int) and value >= 1 and not value & (value - 1)
+    return type(value) is int and value >= 1 and not value & (value - 1)
+
+
+def _is_bytes(value) -> bool:
+    """True iff ``value`` is exactly a bytes or a bytearray.
+
+    Like the ints of _is_power_of_two and _are_leaf_indices, the type is
+    compared by identity. A subclass could override what a verifier reads of
+    it (indexing, concatenation, comparison), and a class whose metaclass
+    claims equality with bytes would pass a set or tuple lookup.
+    """
+    kind = type(value)
+    return kind is bytes or kind is bytearray
 
 
 def _is_digest(value) -> bool:
-    return isinstance(value, (bytes, bytearray)) and len(value) == DIGEST_SIZE
+    return _is_bytes(value) and len(value) == DIGEST_SIZE
 
 
 def _all_digests(values: Sequence) -> bool:
-    """_is_digest for every value, as C-level passes over types and lengths."""
-    if not set(map(type, values)) <= _DIGEST_TYPES:  # subclasses take the slow path
-        if not all(isinstance(v, (bytes, bytearray)) for v in values):
-            return False
+    """_is_digest for every value: _is_bytes inlined in one pass over the types, then one over the lengths."""
+    if [kind for kind in map(type, values) if kind is not bytes and kind is not bytearray]:
+        return False
     return set(map(len, values)) <= {DIGEST_SIZE}
 
 
 def _are_leaf_indices(indices: Sequence[int], leaf_count: int) -> bool:
-    """A non-empty, strictly increasing run of ints (bools excluded) in [0, leaf_count)."""
-    if not indices or not all(isinstance(i, int) and not isinstance(i, bool) for i in indices):
+    """A non-empty, strictly increasing run of exact ints in [0, leaf_count)."""
+    if not indices or not all(type(i) is int for i in indices):
         return False
     return 0 <= indices[0] and indices[-1] < leaf_count and all(map(operator.lt, indices, indices[1:]))

@@ -20,6 +20,7 @@ from .merkle import (
     Digest,
     MerkleTree,
     _in_blocks,
+    _is_bytes,
     _is_digest,
     _prove,
     _tree_over,
@@ -204,13 +205,13 @@ def verify(
     The verifier recomputes the element's bit positions itself; proofs carry
     no index claims about the element. Every failure, a non-bytes element or
     params that are not BloomParams included, returns an INVALID verdict
-    with a reason, never an exception.
+    with a reason, never an exception. The root, chunks and chunk indices
+    are read only once their types are exact (see merkle._is_bytes).
     """
     if not _is_digest(root):
         return Verdict.invalid("root must be a 32-byte digest")
     if not isinstance(params, BloomParams):
         return Verdict.invalid(f"params must be BloomParams, not {type(params).__name__}")
-    root = bytes(root)
     try:
         positions = indices(element, params)
     except TypeError:
@@ -228,14 +229,14 @@ def verify(
         except TypeError:
             return Verdict.invalid("malformed presence proof fields")
         expected = _chunk_set(positions, params)
-        if supplied != expected:
+        if not all(type(i) is int for i in supplied) or supplied != expected:
             # Exact equality: extraneous chunks are rejected, not just missing ones.
             return Verdict.invalid("chunk indices do not match the element's chunk set")
         if len(chunks) != len(expected):
             return Verdict.invalid("chunk count does not match chunk index count")
         claimed = dict(zip(expected, chunks))
         for chunk_index, chunk in claimed.items():
-            if not isinstance(chunk, (bytes, bytearray)) or len(chunk) != size:
+            if not _is_bytes(chunk) or len(chunk) != size:
                 return Verdict.invalid(f"chunk {chunk_index} is not exactly {size} bytes")
         zeros = _zero_bits(positions, claimed, params)
         if zeros:
@@ -246,15 +247,15 @@ def verify(
         return Verdict.maybe_present()
     if isinstance(proof, AbsenceProof):
         chunk_index = proof.chunk_index
-        if isinstance(chunk_index, bool) or not isinstance(chunk_index, int):
+        if type(chunk_index) is not int:
             return Verdict.invalid("chunk index must be an integer")
         required = [i for i in positions if i // chunk_bits == chunk_index]
         if not required:
             return Verdict.invalid("chunk is not one the element maps into")
         chunk = proof.chunk
-        if not isinstance(chunk, (bytes, bytearray)) or len(chunk) != size:
+        if not _is_bytes(chunk) or len(chunk) != size:
             return Verdict.invalid(f"chunk is not exactly {size} bytes")
-        claimed = {required[0] // chunk_bits: chunk}  # keyed by the verifier's own int
+        claimed = {chunk_index: chunk}
         if not _zero_bits(required, claimed, params):
             return Verdict.invalid("every required bit in the supplied chunk is set")
         try:

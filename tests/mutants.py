@@ -57,11 +57,14 @@ MUTANTS = (
         ("tests/test_bloom.py::TestInsert::test_sets_exactly_the_reference_bits",),
     ),
     Mutant(
-        "_are_leaf_indices admits bools",
+        "_are_leaf_indices admits int subclasses and bools",
         "merkle.py",
-        "isinstance(i, int) and not isinstance(i, bool) for i in indices",
+        "type(i) is int for i in indices",
         "isinstance(i, int) for i in indices",
-        ("tests/test_merkle.py::TestSingleProof::test_bool_leaf_index_is_false",),
+        (
+            "tests/test_merkle.py::TestSingleProof::test_bool_leaf_index_is_false",
+            "tests/test_merkle.py::TestSingleProof::test_int_subclass_indices_are_refused",
+        ),
     ),
     Mutant(
         "_tree_over hashes pairs without the 0x01 prefix",
@@ -149,7 +152,7 @@ MUTANTS = (
     Mutant(
         "verify takes a presence chunk of any length or type",
         "tree.py",
-        'if not isinstance(chunk, (bytes, bytearray)) or len(chunk) != size:\n'
+        'if not _is_bytes(chunk) or len(chunk) != size:\n'
         '                return Verdict.invalid(f"chunk {chunk_index} is not',
         'if False:\n'
         '                return Verdict.invalid(f"chunk {chunk_index} is not',
@@ -158,11 +161,99 @@ MUTANTS = (
     Mutant(
         "verify takes an absence chunk of any length or type",
         "tree.py",
-        'if not isinstance(chunk, (bytes, bytearray)) or len(chunk) != size:\n'
+        'if not _is_bytes(chunk) or len(chunk) != size:\n'
         '            return Verdict.invalid(f"chunk is not',
         'if False:\n'
         '            return Verdict.invalid(f"chunk is not',
         ("tests/test_tree.py::TestVerify::test_junk_fields_in_an_honest_proof_are_invalid_with_their_reason",),
+    ),
+    Mutant(
+        "verify takes a presence chunk of a bytes subclass",
+        "tree.py",
+        'if not _is_bytes(chunk) or len(chunk) != size:\n'
+        '                return Verdict.invalid(f"chunk {chunk_index} is not',
+        'if not isinstance(chunk, (bytes, bytearray)) or len(chunk) != size:\n'
+        '                return Verdict.invalid(f"chunk {chunk_index} is not',
+        ("tests/test_tree.py::TestVerify::test_chunks_that_lie_about_their_bits_are_invalid",),
+    ),
+    Mutant(
+        "verify takes an absence chunk of a bytes subclass",
+        "tree.py",
+        'if not _is_bytes(chunk) or len(chunk) != size:\n'
+        '            return Verdict.invalid(f"chunk is not',
+        'if not isinstance(chunk, (bytes, bytearray)) or len(chunk) != size:\n'
+        '            return Verdict.invalid(f"chunk is not',
+        ("tests/test_tree.py::TestVerify::test_chunks_that_lie_about_their_bits_are_invalid",),
+    ),
+    Mutant(
+        "the exact-type checks compare types by equality",
+        "merkle.py",
+        "    kind = type(value)\n    return kind is bytes or kind is bytearray\n",
+        "    return type(value) in {bytes, bytearray}\n",
+        ("tests/test_tree.py::TestVerify::test_chunks_that_lie_about_their_bits_are_invalid",),
+    ),
+    Mutant(
+        "verify takes an absence chunk index of an int subclass",
+        "tree.py",
+        "if type(chunk_index) is not int:",
+        "if not isinstance(chunk_index, int):",
+        ("tests/test_tree.py::TestVerify::test_chunk_indices_that_are_not_exact_ints_are_invalid",),
+    ),
+    Mutant(
+        "verify compares presence chunk indices of any type",
+        "tree.py",
+        "if not all(type(i) is int for i in supplied) or supplied != expected:",
+        "if supplied != expected:",
+        ("tests/test_tree.py::TestVerify::test_chunk_indices_that_are_not_exact_ints_are_invalid",),
+    ),
+    Mutant(
+        "_all_digests takes digests of a bytes subclass",
+        "merkle.py",
+        "if [kind for kind in map(type, values) if kind is not bytes and kind is not bytearray]:",
+        "if not all(isinstance(v, (bytes, bytearray)) for v in values):",
+        (
+            "tests/test_merkle.py::TestBuildTree::test_bytes_like_digest_types_give_the_same_root",
+            "tests/test_tree.py::TestVerify::test_junk_digests_in_an_honest_proof_are_invalid",
+        ),
+    ),
+    Mutant(
+        "verify takes a superset of the presence chunk set",
+        "tree.py",
+        " or supplied != expected:",
+        " or not set(expected) <= set(supplied):",
+        ("tests/test_tree.py::TestVerify::test_presence_chunk_set_must_match_exactly",),
+    ),
+    Mutant(
+        "verify takes a presence proof with a required bit at zero",
+        "tree.py",
+        "zeros = _zero_bits(positions, claimed, params)\n        if zeros:",
+        "zeros = _zero_bits(positions, claimed, params)\n        if False:",
+        ("tests/test_tree.py::TestVerify::test_presence_over_the_committed_chunks_of_an_outsider_is_invalid",),
+    ),
+    Mutant(
+        "verify takes an absence chunk the element does not map into",
+        "tree.py",
+        "if not required:",
+        "if False:",
+        ("tests/test_tree.py::TestVerify::test_absence_for_irrelevant_chunk_is_invalid",),
+    ),
+    Mutant(
+        "verify takes an absence chunk whose required bits are all set",
+        "tree.py",
+        "if not _zero_bits(required, claimed, params):",
+        "if False:",
+        (
+            "tests/test_tree.py::TestVerify::test_absence_over_a_committed_chunk_of_a_member_is_invalid",
+            "tests/test_codec.py::TestVerdictsOnProofBytes"
+            "::test_tamperings_a_bit_flip_cannot_reach_never_contradict_the_committed_filter",
+        ),
+    ),
+    Mutant(
+        "verify takes an absence chunk without reconstructing the root from its path",
+        "tree.py",
+        "if not _reconstructs(root, params, claimed, path):",
+        "if False:",
+        ("tests/test_tree.py::TestVerify::test_absence_path_of_the_wrong_shape_is_invalid",),
     ),
     Mutant(
         "verify takes an absence path that is not iterable",
@@ -204,9 +295,19 @@ MUTANTS = (
     Mutant(
         "BloomFilter turns an int or a list of ints into a backing array",
         "bloom.py",
-        "self.bits = bytearray(memoryview(self.bits))",
-        "self.bits = bytearray(self.bits)",
+        "bits = bytearray(memoryview(bits))",
+        "bits = bytearray(bits)",
         ("tests/test_bloom.py::TestFilter::test_backing_array_must_be_bytes_like",),
+    ),
+    Mutant(
+        "BloomFilter fields can be reassigned",
+        "bloom.py",
+        "@dataclass(frozen=True)\nclass BloomFilter:",
+        "@dataclass\nclass BloomFilter:",
+        (
+            "tests/test_bloom.py::TestFilter::test_fields_cannot_be_reassigned",
+            "tests/test_tree.py::TestBuild::test_committed_filter_cannot_be_reassigned",
+        ),
     ),
     Mutant(
         "leaf_hash turns an int chunk into zero bytes",

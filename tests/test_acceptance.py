@@ -83,11 +83,12 @@ def test_criterion_3_multiproof_oracle_equivalence():
         started = time.monotonic()
         rng = random.Random("acceptance-subsets")
         for count in (2, 4, 8, 16):
-            tree = build_tree([rng.randbytes(32) for _ in range(count)])
+            leaves = [rng.randbytes(32) for _ in range(count)]
+            tree = build_tree(leaves)
             for size in range(1, count + 1):
                 for subset in itertools.combinations(range(count), size):
                     proof = prove_multi(tree, list(subset))
-                    entries = [(i, tree.node(0, i)) for i in subset]
+                    entries = [(i, leaves[i]) for i in subset]
                     assert verify_multi(tree.root, entries, count, proof)
                     for position in range(len(proof)):
                         mutated = list(proof)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -332,17 +333,27 @@ class TestFilter:
         assert not any(filt.contains(rng.randbytes(12)) for _ in range(200))
 
     def test_bit_addressing_is_lsb_first(self):
+        # bit i lives in byte i // 8 at position i % 8, for insert and contains alike
         params = BloomParams(m=64, k=1, chunk_size=8)
-        filt = BloomFilter(params, bytearray([0b0000_0100] + [0] * 7))
-        assert filt.bit(2) == 1
-        assert filt.bit(1) == 0
-        assert filt.bit(10) == 0
+        for element in (b"a", b"b", b"c", b"d"):
+            (i,) = indices(element, params)
+            filt = BloomFilter(params)
+            filt.insert(element)
+            expected = bytearray(8)
+            expected[i // 8] = 1 << (i % 8)
+            assert filt.bits == expected
+            assert BloomFilter(params, bytes(expected)).contains(element)
 
-    @pytest.mark.parametrize("index", [-1, -64, 64, 65, pytest.param(HUGE, id="huge")])
-    def test_bit_out_of_range_raises(self, index):
-        filt = BloomFilter(BloomParams(m=64, k=1, chunk_size=8), bytearray([0xFF] * 8))
-        with pytest.raises(IndexError):
-            filt.bit(index)
+    def test_fields_cannot_be_reassigned(self):
+        # a reassigned backing array would skip the checks __post_init__ makes
+        params = BloomParams(m=4096, k=3, chunk_size=8)
+        filt = BloomFilter(params)
+        for name, value in (("bits", 512), ("bits", bytes(512)), ("params", BloomParams(m=8192, k=3, chunk_size=8))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(filt, name, value)
+        assert filt.params is params and filt.bits == bytes(512)
+        filt.insert(b"still writable in place")
+        assert filt.contains(b"still writable in place")
 
     @pytest.mark.parametrize("index", [-1, -2, 4, 5, pytest.param(HUGE, id="huge")])
     def test_chunk_out_of_range_raises(self, index):

@@ -302,6 +302,17 @@ def test_cli_import_leaves_the_experiment_module_unloaded():
     assert (result.returncode, result.stdout) == (0, "False False\n")
 
 
+def test_runtime_imports_only_the_standard_library():
+    # -S: without site, so only what bloomtree itself imports is loaded.
+    code = (
+        "import sys, bloomtree, bloomtree.cli, bloomtree.experiment\n"
+        "names = {name.partition('.')[0] for name in sys.modules}\n"
+        "print(sorted(names - set(sys.stdlib_module_names) - {'bloomtree', '__main__'}))"
+    )
+    result = run_python("-S", "-c", code)
+    assert (result.returncode, result.stdout) == (0, "[]\n")
+
+
 def test_module_invocation_smoke(tmp_path):
     result = run_module("params", "--n", "1000", "--fpr", "0.1", "--chunk-size", "8")
     assert result.returncode == 0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bloomtree import codec
 from bloomtree.bloom import MAX_CHUNK_SIZE, BloomFilter, BloomParams
+from bloomtree.merkle import prove_multi
 from bloomtree.tree import AbsenceProof, PresenceProof, VerdictKind, build, prove, verify
 
 # Tiny fixed filter: one chunk of 8 bytes, k = 2. Frozen from the layout
@@ -315,13 +316,31 @@ def verdict_on_bytes(bloom_tree, element, blob):
     return verify(bloom_tree.root, bloom_tree.filter.params, element, proof).kind, claimed
 
 
+def assert_never_contradicts(bloom_tree, inserted, element, blobs):
+    """Every blob's verdict under the trusted params agrees with the committed filter."""
+    present = bloom_tree.filter.contains(element)
+    for blob in blobs:
+        kind, claimed = verdict_on_bytes(bloom_tree, element, blob)
+        if kind is VerdictKind.MAYBE_PRESENT:
+            assert present
+        elif kind is VerdictKind.DEFINITELY_ABSENT:
+            assert not present and element not in inserted
+        if kind is not VerdictKind.INVALID:
+            # a valid verdict only ever rests on the committed chunks
+            assert all(chunk == bloom_tree.filter.chunk(i) for i, chunk in claimed.items())
+
+
+def member_or_fresh(data, inserted):
+    fresh = st.binary(max_size=12)
+    return data.draw(st.one_of(st.sampled_from(inserted), fresh) if inserted else fresh)
+
+
 class TestVerdictsOnProofBytes:
     @settings(max_examples=150, deadline=None)
     @given(committed=committed_filters(), data=st.data())
     def test_tampered_bytes_never_contradict_the_committed_filter(self, committed, data):
         bloom_tree, inserted = committed
-        fresh = st.binary(max_size=12)
-        element = data.draw(st.one_of(st.sampled_from(inserted), fresh) if inserted else fresh)
+        element = member_or_fresh(data, inserted)
         present = bloom_tree.filter.contains(element)
         honest = codec.encode_proof(bloom_tree.filter.params, prove(bloom_tree, element))
         expected = VerdictKind.MAYBE_PRESENT if present else VerdictKind.DEFINITELY_ABSENT
@@ -335,15 +354,54 @@ class TestVerdictsOnProofBytes:
             blob[bit >> 3] ^= 1 << (bit & 7)
             tampered.append(bytes(blob))
         tampered += [honest[:length] for length in cuts]
-        for blob in tampered:
-            kind, claimed = verdict_on_bytes(bloom_tree, element, blob)
-            if kind is VerdictKind.MAYBE_PRESENT:
-                assert present
-            elif kind is VerdictKind.DEFINITELY_ABSENT:
-                assert not present and element not in inserted
-            if kind is not VerdictKind.INVALID:
-                # a valid verdict only ever rests on the committed chunks
-                assert all(chunk == bloom_tree.filter.chunk(i) for i, chunk in claimed.items())
+        assert_never_contradicts(bloom_tree, inserted, element, tampered)
+
+    @settings(max_examples=150, deadline=None)
+    @given(committed=committed_filters(), data=st.data())
+    def test_tamperings_a_bit_flip_cannot_reach_never_contradict_the_committed_filter(self, committed, data):
+        # A bit flip never changes the proof kind or the byte layout. These
+        # re-encode the honest proof whole: its chunk indices swapped or
+        # shifted, the proof re-framed as the other kind, or one echoed param
+        # changed. The verdict is still taken under the trusted params.
+        bloom_tree, inserted = committed
+        params = bloom_tree.filter.params
+        element = member_or_fresh(data, inserted)
+        proof = prove(bloom_tree, element)
+        if isinstance(proof, PresenceProof):
+            chunk_indices = list(proof.chunk_indices)
+            first = chunk_indices[0]
+            shift = 1 if first == 0 else data.draw(st.sampled_from((-1, 1)))
+            tampered = [
+                PresenceProof(tuple(c + shift for c in chunk_indices), proof.chunks, proof.multiproof),
+                AbsenceProof(first, proof.chunks[0], tuple(prove_multi(bloom_tree.tree, [first]))),
+            ]
+            if len(chunk_indices) > 1:
+                positions = st.sampled_from(range(len(chunk_indices)))
+                i, j = data.draw(st.lists(positions, min_size=2, max_size=2, unique=True))
+                chunk_indices[i], chunk_indices[j] = chunk_indices[j], chunk_indices[i]
+                tampered.append(PresenceProof(tuple(chunk_indices), proof.chunks, proof.multiproof))
+        else:
+            shift = 1 if proof.chunk_index == 0 else data.draw(st.sampled_from((-1, 1)))
+            tampered = [
+                AbsenceProof(proof.chunk_index + shift, proof.chunk, proof.path),
+                PresenceProof((proof.chunk_index,), (proof.chunk,), proof.path),
+            ]
+        blobs = [codec.encode_proof(params, forged) for forged in tampered]
+
+        # the echoed params, m u64 | k u32 | chunk_size u32, follow the magic, version and kind
+        honest = bytearray(codec.encode_proof(params, proof))
+        echoed = [params.m, params.k, params.chunk_size]
+        field = data.draw(st.integers(min_value=0, max_value=2))
+        value = echoed[field]
+        echoed[field] = data.draw(st.sampled_from((value // 2, value - 1, value + 1, value * 2)))
+        struct.pack_into("<QII", honest, len(codec.PROOF_MAGIC) + 2, *echoed)
+        blobs.append(bytes(honest))
+        assert_never_contradicts(bloom_tree, inserted, element, blobs)
+
+        root = bytearray(bloom_tree.root)
+        bit = data.draw(st.integers(min_value=0, max_value=8 * len(root) - 1))
+        root[bit >> 3] ^= 1 << (bit & 7)
+        assert verify(bytes(root), params, element, proof).kind is VerdictKind.INVALID
 
 
 class TestFuzz:

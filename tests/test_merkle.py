@@ -27,8 +27,13 @@ def leaves_for(count, seed=0):
     return [rng.randbytes(32) for _ in range(count)]
 
 
-def entries_for(tree: MerkleTree, subset):
-    return [(i, tree.node(0, i)) for i in subset]
+def entries_for(leaves, subset):
+    return [(i, leaves[i]) for i in subset]
+
+
+def node(tree: MerkleTree, level: int, index: int) -> bytes:
+    """Node ``index`` of level ``level``, at bytes [32 * index, 32 * index + 32) of that level."""
+    return tree.levels[level][32 * index : 32 * index + 32]
 
 
 def flip_byte(digest: bytes, offset: int = 0) -> bytes:
@@ -77,14 +82,17 @@ class TestBuildTree:
             build_tree([b"short", b"x" * 32])
 
     def test_bytes_like_digest_types_give_the_same_root(self):
-        # verify_multi's digest types: bytes, bytearray and their subclasses
+        # verify_multi's digest types are exactly bytes and bytearray: a
+        # subclass is refused, since it could override what is read of it
         class Digest(bytes):
             pass
 
         leaves = leaves_for(8, seed=4)
         root = build_tree(leaves).root
-        for convert in (bytearray, Digest):
-            assert build_tree([convert(leaf) for leaf in leaves]).root == root
+        assert build_tree([bytearray(leaf) for leaf in leaves]).root == root
+        for converted in ([Digest(leaf) for leaf in leaves], [*leaves[:7], Digest(leaves[7])]):
+            with pytest.raises(ValueError):
+                build_tree(converted)
 
     def test_rejects_buffers_that_are_not_bytes_or_bytearray(self):
         # the leaves verify_multi would refuse, even at 32 bytes
@@ -113,30 +121,28 @@ class TestBuildTree:
         assert peak - retained < 2**20
 
     def test_level_shape(self):
-        tree = build_tree(leaves_for(8))
+        leaves = leaves_for(8)
+        tree = build_tree(leaves)
         assert [len(level) for level in tree.levels] == [8 * 32, 4 * 32, 2 * 32, 32]
+        assert tree.levels[0] == b"".join(leaves)
         for t in range(1, 4):
             for i in range(8 >> t):
-                assert tree.node(t, i) == node_hash(tree.node(t - 1, 2 * i), tree.node(t - 1, 2 * i + 1))
-
-    def test_node_out_of_range(self):
-        tree = build_tree(leaves_for(4))
-        for level, index in ((0, 4), (0, -1), (1, 2), (2, 1)):
-            with pytest.raises(IndexError):
-                tree.node(level, index)
+                assert node(tree, t, i) == node_hash(node(tree, t - 1, 2 * i), node(tree, t - 1, 2 * i + 1))
 
 
 class TestSingleProof:
     """One-leaf multiproofs: the plain bottom-up sibling path."""
 
     def test_single_leaf_empty_path(self):
-        tree = build_tree(leaves_for(1))
+        leaves = leaves_for(1)
+        tree = build_tree(leaves)
         assert prove_multi(tree, [0]) == []
-        assert verify_multi(tree.root, [(0, tree.node(0, 0))], 1, [])
+        assert verify_multi(tree.root, [(0, leaves[0])], 1, [])
 
     def test_four_leaf_sibling_walk(self):
-        tree = build_tree(leaves_for(4))
-        assert prove_multi(tree, [3]) == [tree.node(0, 2), tree.node(1, 0)]
+        leaves = leaves_for(4)
+        tree = build_tree(leaves)
+        assert prove_multi(tree, [3]) == [leaves[2], node_hash(leaves[0], leaves[1])]
 
     def test_eight_leaf_path_length(self):
         tree = build_tree(leaves_for(8))
@@ -149,37 +155,42 @@ class TestSingleProof:
 
     @pytest.mark.parametrize("count", [1, 2, 4, 8, 16])
     def test_round_trip_every_index(self, count):
-        tree = build_tree(leaves_for(count, seed=count))
+        leaves = leaves_for(count, seed=count)
+        tree = build_tree(leaves)
         for i in range(count):
             proof = prove_multi(tree, [i])
-            assert verify_multi(tree.root, [(i, tree.node(0, i))], count, proof)
+            assert verify_multi(tree.root, [(i, leaves[i])], count, proof)
 
     def test_mutated_path_digest_fails(self):
-        tree = build_tree(leaves_for(16, seed=3))
+        leaves = leaves_for(16, seed=3)
+        tree = build_tree(leaves)
         rng = random.Random(99)
         for _ in range(100):
             i = rng.randrange(16)
             proof = prove_multi(tree, [i])
             level = rng.randrange(len(proof))
             proof[level] = flip_byte(proof[level], rng.randrange(32))
-            assert not verify_multi(tree.root, [(i, tree.node(0, i))], 16, proof)
+            assert not verify_multi(tree.root, [(i, leaves[i])], 16, proof)
 
     def test_wrong_index_fails(self):
-        tree = build_tree(leaves_for(16, seed=4))
+        leaves = leaves_for(16, seed=4)
+        tree = build_tree(leaves)
         proof = prove_multi(tree, [5])
-        assert not verify_multi(tree.root, [(6, tree.node(0, 5))], 16, proof)
+        assert not verify_multi(tree.root, [(6, leaves[5])], 16, proof)
 
     def test_wrong_proof_length_is_false_not_raise(self):
-        tree = build_tree(leaves_for(4))
+        leaves = leaves_for(4)
+        tree = build_tree(leaves)
         proof = prove_multi(tree, [1])
-        entries = [(1, tree.node(0, 1))]
+        entries = [(1, leaves[1])]
         assert not verify_multi(tree.root, entries, 4, proof[:1])
         assert not verify_multi(tree.root, entries, 4, proof + [bytes(32)])
 
     def test_garbage_inputs_are_false(self):
-        tree = build_tree(leaves_for(4))
+        leaves = leaves_for(4)
+        tree = build_tree(leaves)
         proof = prove_multi(tree, [0])
-        leaf = tree.node(0, 0)
+        leaf = leaves[0]
         assert not verify_multi(tree.root, [(0, leaf)], 5, proof)  # not a power of two
         assert not verify_multi(tree.root, [(-1, leaf)], 4, proof)
         assert not verify_multi(b"short", [(0, leaf)], 4, proof)
@@ -199,41 +210,46 @@ class TestSingleProof:
         tree = build_tree(leaves_for(8, seed=5))
         for i in range(8):
             path = prove_multi(tree, [i])
-            inner = [(i >> 1, tree.node(1, i >> 1))]
+            inner = [(i >> 1, node(tree, 1, i >> 1))]
             assert not verify_multi(tree.root, inner, 8, path[1:])
             assert not verify_multi(tree.root, inner, 8, path)
-        pair = [(0, tree.node(1, 0)), (1, tree.node(1, 1))]
-        assert not verify_multi(tree.root, pair, 8, [tree.node(2, 1)])
+        pair = [(0, node(tree, 1, 0)), (1, node(tree, 1, 1))]
+        assert not verify_multi(tree.root, pair, 8, [node(tree, 2, 1)])
 
     def test_bool_leaf_index_is_false(self):
         # True == 1, so without the check a valid proof for leaf 1 would pass
-        tree = build_tree(leaves_for(4))
+        leaves = leaves_for(4)
+        tree = build_tree(leaves)
         proof = prove_multi(tree, [1])
-        leaf = tree.node(0, 1)
-        assert verify_multi(tree.root, [(1, leaf)], 4, proof)
-        assert not verify_multi(tree.root, [(True, leaf)], 4, proof)
-        assert not verify_multi(tree.root, [(False, tree.node(0, 0))], 4, prove_multi(tree, [0]))
+        assert verify_multi(tree.root, [(1, leaves[1])], 4, proof)
+        assert not verify_multi(tree.root, [(True, leaves[1])], 4, proof)
+        assert not verify_multi(tree.root, [(False, leaves[0])], 4, prove_multi(tree, [0]))
 
-    def test_int_subclass_indices_count_as_ints(self):
-        # bool is the one int subclass refused; any other indexes like its value
+    def test_int_subclass_indices_are_refused(self):
+        # Indices are exact ints: a subclass could override its comparisons,
+        # so even one that indexes like its value is refused, as bool is.
         class Index(int):
             pass
 
-        tree = build_tree(leaves_for(16, seed=12))
-        for subset in ([Index(5)], [3, Index(9)], [Index(0), Index(1), 15]):
+        leaves = leaves_for(16, seed=12)
+        tree = build_tree(leaves)
+        for subset in ([5], [3, 9], [0, 1, 15]):
             proof = prove_multi(tree, subset)
-            assert proof == prove_multi(tree, [int(i) for i in subset])
-            assert verify_multi(tree.root, entries_for(tree, subset), 16, proof)
-        for bad in ([Index(16)], [Index(-1)], [Index(4), Index(4)], [Index(3), True]):
-            with pytest.raises(ValueError):
-                prove_multi(tree, bad)
-            assert not verify_multi(tree.root, [(i, tree.node(0, 3)) for i in bad], 16, prove_multi(tree, [3]))
+            assert verify_multi(tree.root, entries_for(leaves, subset), 16, proof)
+            for position in range(len(subset)):
+                bad = list(subset)
+                bad[position] = Index(bad[position])
+                with pytest.raises(ValueError):
+                    prove_multi(tree, bad)
+                assert not verify_multi(tree.root, entries_for(leaves, bad), 16, proof)
+        assert not verify_multi(tree.root, entries_for(leaves, [3]), Index(16), prove_multi(tree, [3]))
 
     def test_single_aliases_are_the_one_leaf_multiproof(self):
-        tree = build_tree(leaves_for(16, seed=10))
+        leaves = leaves_for(16, seed=10)
+        tree = build_tree(leaves)
         for i in (0, 7, 15):
             proof = prove_multi(tree, [i])
-            leaf = tree.node(0, i)
+            leaf = leaves[i]
             assert verify_single(tree.root, leaf, i, 16, proof)
             for index, candidate in ((i, proof[:-1]), (i ^ 1, proof), (True, proof)):
                 assert verify_single(tree.root, leaf, index, 16, candidate) == verify_multi(
@@ -244,26 +260,28 @@ class TestSingleProof:
 
 class TestMultiProof:
     def test_all_leaves_need_no_proof(self):
-        tree = build_tree(leaves_for(8))
+        leaves = leaves_for(8)
+        tree = build_tree(leaves)
         assert prove_multi(tree, list(range(8))) == []
-        assert verify_multi(tree.root, entries_for(tree, range(8)), 8, [])
+        assert verify_multi(tree.root, entries_for(leaves, range(8)), 8, [])
 
     def test_three_of_eight_takes_four_hashes(self):
         # hand-walked schedule: level-0 siblings 1, 2, 7 then level-1 node 2
-        tree = build_tree(leaves_for(8, seed=8))
+        leaves = leaves_for(8, seed=8)
+        tree = build_tree(leaves)
         proof = prove_multi(tree, [0, 3, 6])
         assert proof == [
-            tree.node(0, 1),
-            tree.node(0, 2),
-            tree.node(0, 7),
-            tree.node(1, 2),
+            leaves[1],
+            leaves[2],
+            leaves[7],
+            node(tree, 1, 2),
         ]
         singles = sum(len(prove_multi(tree, [i])) for i in (0, 3, 6))
         assert singles == 9
 
     def test_adjacent_pair_skips_leaf_level(self):
         tree = build_tree(leaves_for(8, seed=9))
-        assert prove_multi(tree, [0, 1]) == [tree.node(1, 1), tree.node(2, 1)]
+        assert prove_multi(tree, [0, 1]) == [node(tree, 1, 1), node(tree, 2, 1)]
 
     def test_single_index_equals_single_proof(self):
         tree = build_tree(leaves_for(16, seed=10))
@@ -282,11 +300,12 @@ class TestMultiProof:
 
     def test_exhaustive_subsets_round_trip(self):
         for count in (1, 2, 4, 8):
-            tree = build_tree(leaves_for(count, seed=count + 20))
+            leaves = leaves_for(count, seed=count + 20)
+            tree = build_tree(leaves)
             for size in range(1, count + 1):
                 for subset in itertools.combinations(range(count), size):
                     proof = prove_multi(tree, list(subset))
-                    assert verify_multi(tree.root, entries_for(tree, subset), count, proof)
+                    assert verify_multi(tree.root, entries_for(leaves, subset), count, proof)
 
     def test_compression_is_never_worse_than_singles(self):
         rng = random.Random(77)
@@ -301,22 +320,25 @@ class TestMultiProof:
                 assert len(proof) == depth
 
     def test_extra_trailing_digest_fails(self):
-        tree = build_tree(leaves_for(8, seed=30))
+        leaves = leaves_for(8, seed=30)
+        tree = build_tree(leaves)
         subset = [2, 5]
         proof = prove_multi(tree, subset)
-        assert not verify_multi(tree.root, entries_for(tree, subset), 8, proof + [bytes(32)])
+        assert not verify_multi(tree.root, entries_for(leaves, subset), 8, proof + [bytes(32)])
 
     def test_underflow_fails(self):
-        tree = build_tree(leaves_for(8, seed=31))
+        leaves = leaves_for(8, seed=31)
+        tree = build_tree(leaves)
         subset = [2, 5]
         proof = prove_multi(tree, subset)
-        assert not verify_multi(tree.root, entries_for(tree, subset), 8, proof[:-1])
+        assert not verify_multi(tree.root, entries_for(leaves, subset), 8, proof[:-1])
 
     def test_every_digest_mutation_fails(self):
-        tree = build_tree(leaves_for(16, seed=32))
+        leaves = leaves_for(16, seed=32)
+        tree = build_tree(leaves)
         subset = [0, 3, 6, 11]
         proof = prove_multi(tree, subset)
-        entries = entries_for(tree, subset)
+        entries = entries_for(leaves, subset)
         for position in range(len(proof)):
             mutated = list(proof)
             mutated[position] = flip_byte(mutated[position])
@@ -324,12 +346,13 @@ class TestMultiProof:
 
     def test_soundness_probe_leaf_replacement(self):
         # 1000 random forgery attempts, zero accepted
-        tree = build_tree(leaves_for(16, seed=33))
+        leaves = leaves_for(16, seed=33)
+        tree = build_tree(leaves)
         rng = random.Random(34)
         for _ in range(1000):
             subset = sorted(rng.sample(range(16), rng.randrange(1, 17)))
             proof = prove_multi(tree, subset)
-            entries = entries_for(tree, subset)
+            entries = entries_for(leaves, subset)
             victim = rng.randrange(len(entries))
             index, _ = entries[victim]
             entries[victim] = (index, rng.randbytes(32))
@@ -351,10 +374,11 @@ class TestMultiProof:
 
     def test_single_pass_iterables_are_materialized(self):
         # generators must behave exactly like lists, not silently verify less
-        tree = build_tree(leaves_for(8, seed=36))
+        leaves = leaves_for(8, seed=36)
+        tree = build_tree(leaves)
         proof = prove_multi(tree, (i for i in (0, 3, 6)))
         assert proof == prove_multi(tree, [0, 3, 6])
-        assert verify_multi(tree.root, ((i, tree.node(0, i)) for i in (0, 3, 6)), 8, proof)
+        assert verify_multi(tree.root, ((i, leaves[i]) for i in (0, 3, 6)), 8, proof)
         assert not verify_multi(tree.root, iter([]), 8, [])
 
     @given(
@@ -363,7 +387,8 @@ class TestMultiProof:
     )
     def test_random_subset_round_trip(self, depth, data):
         count = 1 << depth
-        tree = build_tree(leaves_for(count, seed=depth))
+        leaves = leaves_for(count, seed=depth)
+        tree = build_tree(leaves)
         subset = sorted(data.draw(st.sets(st.integers(0, count - 1), min_size=1)))
         proof = prove_multi(tree, subset)
-        assert verify_multi(tree.root, entries_for(tree, subset), count, proof)
+        assert verify_multi(tree.root, entries_for(leaves, subset), count, proof)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bloomtree import codec
 from bloomtree.bloom import BloomFilter, BloomParams, indices
-from bloomtree.merkle import build_tree
+from bloomtree.merkle import build_tree, prove_multi
 from bloomtree.tree import (
     AbsenceProof,
     BloomTree,
@@ -30,6 +30,44 @@ SMALL = BloomParams(m=512, k=5, chunk_size=8)  # 8 chunks of 64 bits
 # Computed once with a standalone SHA-256 tool over 0x00 || LE64(index) || chunk.
 LEAF_GOLDEN_3 = "55582a711412846389df2d591343bc3955ed64ca33c2f7a0d3b47204586e2299"
 LEAF_GOLDEN_5 = "80f119a4e48dcd18c2cb130805df124c8bf2aba16e466985ca82a71ca0081fb9"
+
+
+class ClaimsToBeBytes(type):
+    """A metaclass whose classes compare and hash equal to bytes, so a set or tuple lookup takes them for it."""
+
+    def __eq__(cls, other):
+        return other is bytes or cls is other
+
+    def __hash__(cls):
+        return hash(bytes)
+
+
+def lying_chunks(honest: bytes, fill: int) -> list:
+    """Two stand-ins for the chunk ``honest`` that read ``fill`` at every index but hash as ``honest``.
+
+    One is a bytes subclass. The other holds no bytes at all: its class
+    compares equal to bytes, and its ``__class__`` says bytes, so isinstance
+    takes it for bytes too. Concatenation, which builds a leaf preimage, sees
+    the honest bytes in both.
+    """
+
+    class Subclass(bytes):
+        def __getitem__(self, index):
+            return fill
+
+    class Impostor(metaclass=ClaimsToBeBytes):
+        __class__ = property(lambda self: bytes)
+
+        def __len__(self):
+            return len(honest)
+
+        def __getitem__(self, index):
+            return fill
+
+        def __radd__(self, other):
+            return other + honest
+
+    return [Subclass(honest), Impostor()]
 
 
 def populated_tree(params=SMALL, count=None, seed=1):
@@ -134,6 +172,16 @@ class TestBuild:
             BloomTree(filter=bloom_tree.filter, tree=bloom_tree.tree, root=other.root)
         with pytest.raises(AttributeError):
             bloom_tree.root = other.root
+
+    def test_committed_filter_cannot_be_reassigned(self):
+        # the holder would otherwise serve proofs over bits the root does not commit to
+        bloom_tree, inserted, _ = populated_tree(seed=30)
+        for name, value in (("bits", bytes(SMALL.byte_length)), ("bits", SMALL.byte_length), ("params", PARAMS_32)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(bloom_tree.filter, name, value)
+        for element in inserted:
+            verdict = verify(bloom_tree.root, SMALL, element, prove(bloom_tree, element))
+            assert verdict.kind is VerdictKind.MAYBE_PRESENT
 
     def test_root_matches_hand_built_tree(self):
         bloom_tree, _, _ = populated_tree(seed=7)
@@ -286,7 +334,8 @@ class TestVerify:
         touched = {locate(i, params)[0] for i in indices(element, params)}
         outside = next(c for c in range(params.chunk_count) if c not in touched)
         relabeled = AbsenceProof(chunk_index=outside, chunk=proof.chunk, path=proof.path)
-        assert verify(bloom_tree.root, params, element, relabeled).kind is VerdictKind.INVALID
+        verdict = verify(bloom_tree.root, params, element, relabeled)
+        assert (verdict.kind, verdict.reason) == (VerdictKind.INVALID, "chunk is not one the element maps into")
 
     def test_relabeled_absence_chunk_is_invalid(self):
         # Index salting: a valid proof for chunk c never verifies as chunk c'.
@@ -349,6 +398,37 @@ class TestVerify:
         tampered = PresenceProof(proof.chunk_indices, tuple(chunks), proof.multiproof)
         assert verify(bloom_tree.root, params, element, tampered).kind is VerdictKind.INVALID
 
+    def test_presence_over_the_committed_chunks_of_an_outsider_is_invalid(self):
+        # Every chunk and digest is the committed one, so only the zero at a
+        # required bit tells this proof from an honest one.
+        bloom_tree, _, rng = populated_tree(seed=33)
+        outsider = next(e for e in iter(lambda: rng.randbytes(13), None) if not bloom_tree.filter.contains(e))
+        positions = indices(outsider, SMALL)
+        chunk_set = sorted({locate(i, SMALL)[0] for i in positions})
+        chunks = tuple(bloom_tree.filter.chunk(c) for c in chunk_set)
+        proof = PresenceProof(tuple(chunk_set), chunks, tuple(prove_multi(bloom_tree.tree, chunk_set)))
+        zero = min(i for i in positions if not bloom_tree.filter.bits[i >> 3] >> (i & 7) & 1)
+        chunk_index, local = locate(zero, SMALL)
+        verdict = verify(bloom_tree.root, SMALL, outsider, proof)
+        assert (verdict.kind, verdict.reason) == (
+            VerdictKind.INVALID,
+            f"required bit {local} of chunk {chunk_index} is zero",
+        )
+
+    def test_absence_over_a_committed_chunk_of_a_member_is_invalid(self):
+        # The committed chunk and its honest path: only the set required bits
+        # tell this proof from an honest one.
+        bloom_tree, inserted, _ = populated_tree(seed=34)
+        for member in inserted:
+            presence = prove(bloom_tree, member)
+            for chunk_index, chunk in zip(presence.chunk_indices, presence.chunks):
+                proof = AbsenceProof(chunk_index, chunk, tuple(prove_multi(bloom_tree.tree, [chunk_index])))
+                verdict = verify(bloom_tree.root, SMALL, member, proof)
+                assert (verdict.kind, verdict.reason) == (
+                    VerdictKind.INVALID,
+                    "every required bit in the supplied chunk is set",
+                )
+
     def test_presence_chunk_set_must_match_exactly(self):
         bloom_tree, inserted, _ = populated_tree(seed=15)
         params = bloom_tree.filter.params
@@ -365,7 +445,11 @@ class TestVerify:
             proof.chunks + (bloom_tree.filter.chunk(extra_index),),
             proof.multiproof,
         )
-        assert verify(bloom_tree.root, params, element, padded).kind is VerdictKind.INVALID
+        verdict = verify(bloom_tree.root, params, element, padded)
+        assert (verdict.kind, verdict.reason) == (
+            VerdictKind.INVALID,
+            "chunk indices do not match the element's chunk set",
+        )
 
     def test_presence_multiproof_mutation_is_invalid(self):
         bloom_tree, inserted, _ = populated_tree(seed=16)
@@ -391,10 +475,15 @@ class TestVerify:
         assert verify(b"short", params, inserted[0], proof).kind is VerdictKind.INVALID
 
     def test_root_that_is_not_a_digest_is_invalid_not_raise(self):
+        class EqualsAnything(bytes):
+            def __eq__(self, other):
+                return True
+
         bloom_tree, inserted, _ = populated_tree(seed=27)
         params = bloom_tree.filter.params
         proof = prove(bloom_tree, inserted[0])
-        for root in (None, 7, "x" * 32, bloom_tree.root[:31], bloom_tree.root + b"\x00"):
+        junk = (None, 7, "x" * 32, bloom_tree.root[:31], bloom_tree.root + b"\x00", EqualsAnything(bytes(32)))
+        for root in junk:
             verdict = verify(root, params, inserted[0], proof)
             assert verdict.kind is VerdictKind.INVALID, root
             assert verdict.reason == "root must be a 32-byte digest"
@@ -462,7 +551,9 @@ class TestVerify:
 
     def test_junk_digests_in_an_honest_proof_are_invalid(self):
         # The chunks match the element, so each junk digest reaches the root
-        # reconstruction; only the proof's own digests are checked there.
+        # reconstruction; only the proof's own digests are checked there. A
+        # digest is exactly bytes or bytearray: a subclass could override the
+        # concatenation that builds each node's preimage.
         class Digest(bytes):
             pass
 
@@ -478,16 +569,72 @@ class TestVerify:
             digests = getattr(honest, field)
             assert digests
             for position in range(len(digests)):
-                for junk in (None, 7, "x" * 32, b"\x00" * 31, b"\x00" * 33):
+                for junk in (None, 7, "x" * 32, b"\x00" * 31, b"\x00" * 33, Digest(digests[position])):
                     tampered = list(digests)
                     tampered[position] = junk
                     proof = dataclasses.replace(honest, **{field: tuple(tampered)})
                     verdict = verify(bloom_tree.root, params, element, proof)
                     assert verdict.kind is VerdictKind.INVALID, (field, position, junk)
                     assert verdict.reason == reason
-            for convert in (bytearray, Digest):
-                proof = dataclasses.replace(honest, **{field: tuple(map(convert, digests))})
-                assert verify(bloom_tree.root, params, element, proof).kind is kind
+            proof = dataclasses.replace(honest, **{field: tuple(map(bytearray, digests))})
+            assert verify(bloom_tree.root, params, element, proof).kind is kind
+
+    @pytest.mark.parametrize("stand_in", [0, 1], ids=["bytes-subclass", "impostor"])
+    def test_chunks_that_lie_about_their_bits_are_invalid(self, stand_in):
+        # Honest root, trusted params and honest paths: only the chunk objects
+        # lie, reading as all zeros or all ones while hashing as the committed
+        # bytes. Without exact types they prove a member absent and an
+        # outsider present.
+        bloom_tree, inserted, rng = populated_tree(seed=31)
+        member = inserted[0]
+        honest = prove(bloom_tree, member)
+        assert isinstance(honest, PresenceProof)
+        first = honest.chunk_indices[0]
+        chunk = lying_chunks(honest.chunks[0], 0x00)[stand_in]
+        forged = AbsenceProof(first, chunk, tuple(prove_multi(bloom_tree.tree, [first])))
+        verdict = verify(bloom_tree.root, SMALL, member, forged)
+        assert (verdict.kind, verdict.reason) == (VerdictKind.INVALID, "chunk is not exactly 8 bytes")
+
+        outsider = next(e for e in iter(lambda: rng.randbytes(13), None) if not bloom_tree.filter.contains(e))
+        chunk_set = sorted({locate(i, SMALL)[0] for i in indices(outsider, SMALL)})
+        chunks = tuple(lying_chunks(bloom_tree.filter.chunk(c), 0xFF)[stand_in] for c in chunk_set)
+        forged = PresenceProof(tuple(chunk_set), chunks, tuple(prove_multi(bloom_tree.tree, chunk_set)))
+        verdict = verify(bloom_tree.root, SMALL, outsider, forged)
+        assert (verdict.kind, verdict.reason) == (VerdictKind.INVALID, f"chunk {chunk_set[0]} is not exactly 8 bytes")
+
+    def test_chunk_indices_that_are_not_exact_ints_are_invalid(self):
+        # An int subclass's comparisons are its own: one that equals anything
+        # made the absence arm raise KeyError, one that raises made the presence
+        # arm raise.
+        class Anything(int):
+            __hash__ = int.__hash__
+
+            def __eq__(self, other):
+                return True
+
+        class Raises(int):
+            __hash__ = int.__hash__
+
+            def __eq__(self, other):
+                raise RuntimeError("compared")
+
+        bloom_tree, inserted, rng = populated_tree(seed=32)
+        outsider = next(e for e in iter(lambda: rng.randbytes(13), None) if not bloom_tree.filter.contains(e))
+        absence = prove(bloom_tree, outsider)
+        assert isinstance(absence, AbsenceProof)
+        for index in (Anything(absence.chunk_index), Raises(absence.chunk_index), float(absence.chunk_index)):
+            verdict = verify(bloom_tree.root, SMALL, outsider, dataclasses.replace(absence, chunk_index=index))
+            assert (verdict.kind, verdict.reason) == (VerdictKind.INVALID, "chunk index must be an integer")
+        presence = prove(bloom_tree, inserted[0])
+        assert isinstance(presence, PresenceProof)
+        first, *rest = presence.chunk_indices
+        for index in (Anything(first), Raises(first), float(first)):
+            proof = dataclasses.replace(presence, chunk_indices=(index, *rest))
+            verdict = verify(bloom_tree.root, SMALL, inserted[0], proof)
+            assert (verdict.kind, verdict.reason) == (
+                VerdictKind.INVALID,
+                "chunk indices do not match the element's chunk set",
+            )
 
     @pytest.mark.parametrize("element", ["text", None, 7, 1.5, ["b"]])
     def test_non_bytes_element_is_invalid_not_raise(self, element):
