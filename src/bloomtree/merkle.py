@@ -20,7 +20,7 @@ import functools
 import hashlib
 import operator
 import struct
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -86,25 +86,11 @@ def _tree_over(leaf_level: bytes) -> MerkleTree:
     """
     sha256 = hashlib.sha256
     prefix = _NODE_PREFIX
-
-    def parents(start: int, pairs: tuple[bytes, ...]) -> list[Digest]:
-        return [sha256(prefix + pair).digest() for pair in pairs]
-
     levels = [leaf_level]
     while len(levels[-1]) > DIGEST_SIZE:
-        levels.append(_in_blocks(levels[-1], 2 * DIGEST_SIZE, parents))
+        blocks = _blocks(levels[-1], 2 * DIGEST_SIZE)
+        levels.append(b"".join([b"".join([sha256(prefix + pair).digest() for pair in pairs]) for _, pairs in blocks]))
     return MerkleTree(levels=tuple(levels))
-
-
-def _in_blocks(buffer: bytes, width: int, digests: Callable[[int, tuple[bytes, ...]], list[Digest]]) -> bytes:
-    """One buffer of the digests of ``buffer``'s ``width``-byte fields, hashed one block at a time.
-
-    digests(start, fields) hashes the block of fields that begins at field
-    ``start``. Each block's digests are joined as soon as they are hashed, so
-    one block of fields and of digest objects is alive at a time. One block
-    is returned as it is joined, without a second copy.
-    """
-    return b"".join([b"".join(digests(start, fields)) for start, fields in _blocks(buffer, width)])
 
 
 def _blocks(buffer: bytes, width: int) -> Iterator[tuple[int, tuple[bytes, ...]]]:
@@ -116,13 +102,14 @@ def _blocks(buffer: bytes, width: int) -> Iterator[tuple[int, tuple[bytes, ...]]
     once. ``width`` is at most _BLOCK_BYTES, the largest chunk size.
 
     This is the memory bound of a build. The leaf pass of tree.build and
-    each level pass of _tree_over hash one block at a time through
-    _in_blocks, one preimage at a time, and join its digests at once, so
-    beyond the tree they return they hold one block of field and digest
-    objects (under 0.2 MB at the largest chunk size, under 0.1 MB for a
-    block of digest pairs) and the joined blocks of the level in progress.
-    Those are the size of the levels still to come, so a build peaks about
-    one block above the finished tree.
+    each level pass of _tree_over hash one block at a time, one preimage at
+    a time, and join its digests at once, so beyond the tree they return
+    they hold one block of field and digest objects (under 0.2 MB at the
+    largest chunk size, under 0.1 MB for a block of digest pairs) and the
+    joined blocks of the level in progress. Those are the size of the
+    levels still to come, so a build peaks about one block above the
+    finished tree. A level of one block is returned as it is joined,
+    without a second copy.
     """
     count = len(buffer) // width
     step = min(_BLOCK_FIELDS, _BLOCK_BYTES // width)
@@ -240,7 +227,7 @@ def _verify_leaves(
     positions: Sequence[int],
     nodes: Sequence[Digest],
     depth: int,
-    proof: list[Digest],
+    proof: Sequence[Digest],
 ) -> bool:
     """verify_multi for leaves its caller has checked, in a tree of 2**depth leaves.
 

@@ -19,7 +19,7 @@ from .bloom import BloomFilter, BloomParams, indices
 from .merkle import (
     Digest,
     MerkleTree,
-    _in_blocks,
+    _blocks,
     _is_bytes,
     _is_digest,
     _prove,
@@ -163,7 +163,8 @@ def build(filt: BloomFilter) -> BloomTree:
     """
     params = filt.params
     bits = bytes(filt.bits)
-    leaf_level = _in_blocks(bits, params.chunk_size, lambda start, chunks: _leaf_hashes(enumerate(chunks, start)))
+    blocks = _blocks(bits, params.chunk_size)
+    leaf_level = b"".join([b"".join(_leaf_hashes(enumerate(chunks, start))) for start, chunks in blocks])
     return BloomTree(filter=BloomFilter(params, bits), tree=_tree_over(leaf_level))
 
 
@@ -205,8 +206,9 @@ def verify(
     The verifier recomputes the element's bit positions itself; proofs carry
     no index claims about the element. Every failure, a non-bytes element or
     params that are not BloomParams included, returns an INVALID verdict
-    with a reason, never an exception. The root, chunks and chunk indices
-    are read only once their types are exact (see merkle._is_bytes).
+    with a reason, never an exception. The root, chunks and chunk indices,
+    and the fields that list them, are read only once their types are exact
+    (see merkle._is_bytes).
     """
     if not _is_digest(root):
         return Verdict.invalid("root must be a 32-byte digest")
@@ -222,14 +224,11 @@ def verify(
     # a required bit may be zero; both then check their chunks as leaves of one
     # multiproof.
     if isinstance(proof, PresenceProof):
-        try:
-            supplied = list(proof.chunk_indices)
-            chunks = tuple(proof.chunks)
-            multiproof = list(proof.multiproof)
-        except TypeError:
+        supplied, chunks, multiproof = proof.chunk_indices, proof.chunks, proof.multiproof
+        if not _is_sequence(supplied) or not _is_sequence(chunks) or not _is_sequence(multiproof):
             return Verdict.invalid("malformed presence proof fields")
         expected = _chunk_set(positions, params)
-        if not all(type(i) is int for i in supplied) or supplied != expected:
+        if not all(type(i) is int for i in supplied) or list(supplied) != expected:
             # Exact equality: extraneous chunks are rejected, not just missing ones.
             return Verdict.invalid("chunk indices do not match the element's chunk set")
         if len(chunks) != len(expected):
@@ -258,14 +257,19 @@ def verify(
         claimed = {chunk_index: chunk}
         if not _zero_bits(required, claimed, params):
             return Verdict.invalid("every required bit in the supplied chunk is set")
-        try:
-            path = list(proof.path)
-        except TypeError:
+        path = proof.path
+        if not _is_sequence(path):
             return Verdict.invalid("malformed absence proof path")
         if not _reconstructs(root, params, claimed, path):
             return Verdict.invalid("path does not reconstruct the root")
         return Verdict.definitely_absent()
     return Verdict.invalid(f"unknown proof type {type(proof).__name__}")
+
+
+def _is_sequence(value) -> bool:
+    """True iff ``value`` is exactly a tuple or a list, the types compared by identity as in merkle._is_bytes."""
+    kind = type(value)
+    return kind is tuple or kind is list
 
 
 def _zero_bits(positions: list[int], claimed: dict[int, bytes], params: BloomParams) -> list[int]:
@@ -275,6 +279,6 @@ def _zero_bits(positions: list[int], claimed: dict[int, bytes], params: BloomPar
     return [i for i in positions if not claimed[i // chunk_bits][(i >> 3) % size] >> (i & 7) & 1]
 
 
-def _reconstructs(root: bytes, params: BloomParams, claimed: dict[int, bytes], proof: list[Digest]) -> bool:
+def _reconstructs(root: bytes, params: BloomParams, claimed: dict[int, bytes], proof: tuple | list) -> bool:
     """Hash each claimed chunk as the leaf at its index and check them all with one multiproof."""
     return _verify_leaves(root, list(claimed), _leaf_hashes(claimed.items()), params.depth, proof)

@@ -202,8 +202,8 @@ MUTANTS = (
     Mutant(
         "verify compares presence chunk indices of any type",
         "tree.py",
-        "if not all(type(i) is int for i in supplied) or supplied != expected:",
-        "if supplied != expected:",
+        "if not all(type(i) is int for i in supplied) or list(supplied) != expected:",
+        "if list(supplied) != expected:",
         ("tests/test_tree.py::TestVerify::test_chunk_indices_that_are_not_exact_ints_are_invalid",),
     ),
     Mutant(
@@ -219,7 +219,7 @@ MUTANTS = (
     Mutant(
         "verify takes a superset of the presence chunk set",
         "tree.py",
-        " or supplied != expected:",
+        " or list(supplied) != expected:",
         " or not set(expected) <= set(supplied):",
         ("tests/test_tree.py::TestVerify::test_presence_chunk_set_must_match_exactly",),
     ),
@@ -244,8 +244,7 @@ MUTANTS = (
         "if False:",
         (
             "tests/test_tree.py::TestVerify::test_absence_over_a_committed_chunk_of_a_member_is_invalid",
-            "tests/test_codec.py::TestVerdictsOnProofBytes"
-            "::test_tamperings_a_bit_flip_cannot_reach_never_contradict_the_committed_filter",
+            "tests/test_codec.py::TestVerdictsOnProofBytes::test_reencoded_proofs_get_the_spec_verdict",
         ),
     ),
     Mutant(
@@ -256,14 +255,46 @@ MUTANTS = (
         ("tests/test_tree.py::TestVerify::test_absence_path_of_the_wrong_shape_is_invalid",),
     ),
     Mutant(
-        "verify takes an absence path that is not iterable",
+        "verify takes an absence path of any type",
         "tree.py",
-        "        try:\n"
-        "            path = list(proof.path)\n"
-        "        except TypeError:\n"
-        '            return Verdict.invalid("malformed absence proof path")\n',
-        "        path = proof.path\n",
+        "if not _is_sequence(path):",
+        "if False:",
         ("tests/test_tree.py::TestVerify::test_junk_fields_in_an_honest_proof_are_invalid_with_their_reason",),
+    ),
+    Mutant(
+        "verify iterates a proof field of any type",
+        "tree.py",
+        "    kind = type(value)\n    return kind is tuple or kind is list\n",
+        '    return hasattr(value, "__iter__")\n',
+        ("tests/test_tree.py::TestVerify::test_junk_fields_in_an_honest_proof_are_invalid_with_their_reason",),
+    ),
+    Mutant(
+        "verify takes an absence chunk with a zero at a bit the element does not map to",
+        "tree.py",
+        "if not _zero_bits(required, claimed, params):",
+        "if chunk.count(255) == size:",
+        ("tests/test_codec.py::TestVerdictsOnProofBytes::test_reencoded_proofs_get_the_spec_verdict",),
+    ),
+    Mutant(
+        "the leaf preimage drops the chunk index",
+        "tree.py",
+        "sha256(head(0, i) + chunk)",
+        'sha256(b"\\x00" + chunk)',
+        ("tests/test_codec.py::TestVerdictsOnProofBytes::test_tampered_bytes_get_the_spec_verdict",),
+    ),
+    Mutant(
+        "the decoders take trailing bytes",
+        "codec.py",
+        "if self.offset != len(self.data):",
+        "if False:",
+        ("tests/test_codec.py::TestVerdictsOnProofBytes::test_tampered_bytes_get_the_spec_verdict",),
+    ),
+    Mutant(
+        "_verify_leaves folds a path of any length",
+        "merkle.py",
+        "if available - cursor != levels_left:",
+        "if False:",
+        ("tests/test_merkle.py::TestSingleProof::test_wrong_proof_length_is_false_not_raise",),
     ),
     Mutant(
         "optimal_bit_count lets a float overflow out as OverflowError",
@@ -335,7 +366,7 @@ MUTANTS = (
         "tree.py",
         "if not _reconstructs(root, params, claimed, multiproof):",
         "if False:",
-        ("tests/test_codec.py::TestVerdictsOnProofBytes::test_tampered_bytes_never_contradict_the_committed_filter",),
+        ("tests/test_codec.py::TestVerdictsOnProofBytes::test_tampered_bytes_get_the_spec_verdict",),
     ),
     Mutant(
         "the grid takes the upper median",

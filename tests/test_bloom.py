@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import math
 import random
 import struct
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spec
 from bloomtree import codec
 from bloomtree.bloom import (
     MAX_CHUNK_SIZE,
@@ -26,14 +26,6 @@ from bloomtree.experiment import ExperimentConfig
 SMALL_PARAMS = BloomParams(m=1024, k=5, chunk_size=8)
 
 elements = st.binary(max_size=64)
-
-
-def reference_indices(element: bytes, params: BloomParams) -> list[int]:
-    """The double-hashing formula as specified, in 64-bit big-int arithmetic."""
-    digest = hashlib.sha256(element).digest()
-    h1 = int.from_bytes(digest[0:8], "little")
-    h2 = int.from_bytes(digest[8:16], "little") | 1
-    return [((h1 + i * h2) % 2**64) % params.m for i in range(params.k)]
 
 
 def with_bits(bits: bytes, positions: list[int]) -> bytearray:
@@ -254,10 +246,8 @@ class TestIndices:
         assert indices(b"", params)[0] == 227
 
     def test_k_one_is_h1_mod_m(self):
-        params = BloomParams(m=2048, k=1, chunk_size=8)
-        digest = hashlib.sha256(b"some element").digest()
-        h1 = int.from_bytes(digest[0:8], "little")
-        assert indices(b"some element", params) == [h1 % 2048]
+        # h1 of sha256("some element"), mod 2048
+        assert indices(b"some element", BloomParams(m=2048, k=1, chunk_size=8)) == [956]
 
     def test_deterministic(self):
         assert indices(b"x", SMALL_PARAMS) == indices(b"x", SMALL_PARAMS)
@@ -275,7 +265,7 @@ class TestIndices:
     @example(element=b"dup", params=BloomParams(m=8, k=40, chunk_size=1))
     @given(element=elements, params=geometries(st.sampled_from([1, 8, 32, 64, 1024, MAX_CHUNK_SIZE])))
     def test_matches_double_hash_formula(self, element, params):
-        assert indices(element, params) == reference_indices(element, params)
+        assert indices(element, params) == spec.indices(element, params.m, params.k)
 
 
 
@@ -395,7 +385,7 @@ class TestInsert:
         seed=st.integers(min_value=0, max_value=2**32),
     )
     def test_sets_exactly_the_reference_bits(self, element, params, seed):
-        expected = reference_indices(element, params)
+        expected = spec.indices(element, params.m, params.k)
         empty = BloomFilter(params)
         empty.insert(element)
         assert empty.bits == with_bits(bytes(params.byte_length), expected)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spec
 from bloomtree import codec
 from bloomtree.bloom import MAX_CHUNK_SIZE, BloomFilter, BloomParams
 from bloomtree.merkle import prove_multi
@@ -299,35 +300,16 @@ def committed_filters(draw):
     return build(filt), inserted
 
 
-def verdict_on_bytes(bloom_tree, element, blob):
-    """The verdict kind of proof bytes under the tree's own params, with the claimed chunks by index.
-
-    A blob that does not decode is INVALID and claims nothing. The echoed
-    params are never used.
-    """
-    try:
-        _, proof = codec.decode_proof(blob)
-    except codec.CodecError:
-        return VerdictKind.INVALID, {}
-    if isinstance(proof, PresenceProof):
-        claimed = dict(zip(proof.chunk_indices, proof.chunks))
-    else:
-        claimed = {proof.chunk_index: proof.chunk}
-    return verify(bloom_tree.root, bloom_tree.filter.params, element, proof).kind, claimed
-
-
-def assert_never_contradicts(bloom_tree, inserted, element, blobs):
-    """Every blob's verdict under the trusted params agrees with the committed filter."""
-    present = bloom_tree.filter.contains(element)
+def assert_spec_verdicts(bloom_tree, element, blobs):
+    """decode_proof + verify give each blob the reference's verdict kind under the tree's own params."""
+    params = bloom_tree.filter.params
     for blob in blobs:
-        kind, claimed = verdict_on_bytes(bloom_tree, element, blob)
-        if kind is VerdictKind.MAYBE_PRESENT:
-            assert present
-        elif kind is VerdictKind.DEFINITELY_ABSENT:
-            assert not present and element not in inserted
-        if kind is not VerdictKind.INVALID:
-            # a valid verdict only ever rests on the committed chunks
-            assert all(chunk == bloom_tree.filter.chunk(i) for i, chunk in claimed.items())
+        try:
+            kind = verify(bloom_tree.root, params, element, codec.decode_proof(blob)[1]).kind
+        except codec.CodecError:
+            kind = VerdictKind.INVALID
+        reference = spec.spec_verdict(bloom_tree.root, params.m, params.k, params.chunk_size, element, blob)
+        assert kind.value == reference, blob.hex()
 
 
 def member_or_fresh(data, inserted):
@@ -338,13 +320,14 @@ def member_or_fresh(data, inserted):
 class TestVerdictsOnProofBytes:
     @settings(max_examples=150, deadline=None)
     @given(committed=committed_filters(), data=st.data())
-    def test_tampered_bytes_never_contradict_the_committed_filter(self, committed, data):
+    def test_tampered_bytes_get_the_spec_verdict(self, committed, data):
         bloom_tree, inserted = committed
+        params = bloom_tree.filter.params
         element = member_or_fresh(data, inserted)
-        present = bloom_tree.filter.contains(element)
-        honest = codec.encode_proof(bloom_tree.filter.params, prove(bloom_tree, element))
-        expected = VerdictKind.MAYBE_PRESENT if present else VerdictKind.DEFINITELY_ABSENT
-        assert verdict_on_bytes(bloom_tree, element, honest)[0] is expected
+        honest = codec.encode_proof(params, prove(bloom_tree, element))
+        present = spec.contains(bytes(bloom_tree.filter.bits), params.m, params.k, element)
+        expected = spec.MAYBE_PRESENT if present else spec.DEFINITELY_ABSENT
+        assert spec.spec_verdict(bloom_tree.root, params.m, params.k, params.chunk_size, element, honest) == expected
 
         flips = data.draw(st.lists(st.integers(min_value=0, max_value=8 * len(honest) - 1), max_size=12))
         cuts = data.draw(st.lists(st.integers(min_value=0, max_value=len(honest) - 1), max_size=6))
@@ -354,11 +337,11 @@ class TestVerdictsOnProofBytes:
             blob[bit >> 3] ^= 1 << (bit & 7)
             tampered.append(bytes(blob))
         tampered += [honest[:length] for length in cuts]
-        assert_never_contradicts(bloom_tree, inserted, element, tampered)
+        assert_spec_verdicts(bloom_tree, element, [honest, *tampered])
 
     @settings(max_examples=150, deadline=None)
     @given(committed=committed_filters(), data=st.data())
-    def test_tamperings_a_bit_flip_cannot_reach_never_contradict_the_committed_filter(self, committed, data):
+    def test_reencoded_proofs_get_the_spec_verdict(self, committed, data):
         # A bit flip never changes the proof kind or the byte layout. These
         # re-encode the honest proof whole: its chunk indices swapped or
         # shifted, the proof re-framed as the other kind, or one echoed param
@@ -396,7 +379,7 @@ class TestVerdictsOnProofBytes:
         echoed[field] = data.draw(st.sampled_from((value // 2, value - 1, value + 1, value * 2)))
         struct.pack_into("<QII", honest, len(codec.PROOF_MAGIC) + 2, *echoed)
         blobs.append(bytes(honest))
-        assert_never_contradicts(bloom_tree, inserted, element, blobs)
+        assert_spec_verdicts(bloom_tree, element, blobs)
 
         root = bytearray(bloom_tree.root)
         bit = data.draw(st.integers(min_value=0, max_value=8 * len(root) - 1))

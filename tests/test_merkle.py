@@ -2,11 +2,13 @@ import array
 import itertools
 import random
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bloomtree import merkle
 from bloomtree.merkle import (
     MerkleTree,
     build_tree,
@@ -178,11 +180,13 @@ class TestSingleProof:
         proof = prove_multi(tree, [5])
         assert not verify_multi(tree.root, [(6, leaves[5])], 16, proof)
 
-    def test_wrong_proof_length_is_false_not_raise(self):
+    def test_wrong_proof_length_is_false_not_raise(self, monkeypatch):
+        # a path of the wrong length is refused before any node is hashed
         leaves = leaves_for(4)
         tree = build_tree(leaves)
         proof = prove_multi(tree, [1])
         entries = [(1, leaves[1])]
+        monkeypatch.setattr(merkle, "hashlib", types.SimpleNamespace(sha256=lambda _: pytest.fail("hashed a node")))
         assert not verify_multi(tree.root, entries, 4, proof[:1])
         assert not verify_multi(tree.root, entries, 4, proof + [bytes(32)])
 

@@ -1,80 +1,20 @@
-"""The multiproof against a straightforward reference replay.
+"""build_tree, prove_multi and verify_multi against the reference replay in tests/spec.py."""
 
-``oracle_prove`` and ``oracle_verify`` are the plain schedule over levels
-kept as tuples of per-node digests: one frontier of (position, digest)
-pairs walked level by level, one node_hash per parent. They are the
-reference the flat-buffer prove_multi / verify_multi must agree with, on
-honest proofs and on every mutation below.
-"""
-
+import ast
+import pathlib
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bloomtree.merkle import build_tree, node_hash, prove_multi, verify_multi
+import spec
+from bloomtree.merkle import build_tree, prove_multi, verify_multi
 
 LEAF_COUNT = 1024
 DEPTH = 10
-
-
-def oracle_levels(leaves):
-    levels = [tuple(leaves)]
-    while len(levels[-1]) > 1:
-        prev = levels[-1]
-        levels.append(tuple(node_hash(prev[j], prev[j + 1]) for j in range(0, len(prev), 2)))
-    return levels
-
-
-def oracle_prove(levels, indices):
-    known = list(indices)
-    proof = []
-    for level in levels[:-1]:
-        parents = []
-        i = 0
-        while i < len(known):
-            pos = known[i]
-            if i + 1 < len(known) and known[i + 1] == pos ^ 1:
-                i += 2
-            else:
-                proof.append(level[pos ^ 1])
-                i += 1
-            parents.append(pos >> 1)
-        known = parents
-    return proof
-
-
-def oracle_verify(root, entries, leaf_count, proof):
-    positions = [index for index, _ in entries]
-    if not positions or positions != sorted(set(positions)) or positions[0] < 0 or positions[-1] >= leaf_count:
-        return False
-    if any(len(d) != 32 for _, d in entries) or any(len(d) != 32 for d in proof):
-        return False
-    frontier = list(entries)
-    cursor = 0
-    for _ in range(leaf_count.bit_length() - 1):
-        parents = []
-        i = 0
-        while i < len(frontier):
-            pos, digest = frontier[i]
-            if i + 1 < len(frontier) and frontier[i + 1][0] == pos ^ 1:
-                parent = node_hash(digest, frontier[i + 1][1])
-                i += 2
-            else:
-                if cursor >= len(proof):
-                    return False
-                sibling = proof[cursor]
-                cursor += 1
-                parent = node_hash(sibling, digest) if pos & 1 else node_hash(digest, sibling)
-                i += 1
-            parents.append((pos >> 1, parent))
-        frontier = parents
-    return cursor == len(proof) and frontier[0][1] == root
-
-
 LEAVES = [random.Random(f"oracle-leaf-{i}").randbytes(32) for i in range(LEAF_COUNT)]
 TREE = build_tree(LEAVES)
-LEVELS = oracle_levels(LEAVES)
+LEVELS = spec.levels(LEAVES)
 
 
 def mutations(entries, proof, rng):
@@ -101,6 +41,14 @@ def mutations(entries, proof, rng):
     return out
 
 
+def test_the_spec_imports_only_hashlib_and_struct():
+    # The reference shares no code with the library it checks.
+    tree = ast.parse(pathlib.Path(spec.__file__).read_text(encoding="utf-8"))
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert all(isinstance(n, ast.Import) for n in imports)
+    assert sorted(a.name for n in imports for a in n.names) == ["hashlib", "struct"]
+
+
 def test_oracle_levels_match_the_tree():
     assert TREE.root == LEVELS[-1][0]
     for t, level in enumerate(LEVELS):
@@ -111,7 +59,7 @@ def test_oracle_levels_match_the_tree():
     for count in (1 << e for e in range(16)):
         blob = rng.randbytes(32 * count)
         leaves = [blob[i : i + 32] for i in range(0, len(blob), 32)]
-        assert build_tree(leaves).levels == tuple(b"".join(level) for level in oracle_levels(leaves)), count
+        assert build_tree(leaves).levels == tuple(b"".join(level) for level in spec.levels(leaves)), count
 
 
 @settings(max_examples=300, deadline=None)
@@ -122,12 +70,12 @@ def test_oracle_levels_match_the_tree():
 def test_multiproof_matches_the_oracle(subset, seed):
     indices = sorted(subset)
     proof = prove_multi(TREE, indices)
-    assert proof == oracle_prove(LEVELS, indices)
+    assert proof == spec.multiproof(LEVELS, indices)
     entries = [(i, LEAVES[i]) for i in indices]
     assert verify_multi(TREE.root, entries, LEAF_COUNT, proof)
-    assert oracle_verify(TREE.root, entries, LEAF_COUNT, proof)
+    assert spec.fold(entries, DEPTH, proof) == TREE.root
     for name, mutated_entries, mutated_proof in mutations(entries, proof, random.Random(seed)):
-        expected = oracle_verify(TREE.root, mutated_entries, LEAF_COUNT, mutated_proof)
+        expected = spec.fold(mutated_entries, DEPTH, mutated_proof) == TREE.root
         assert not expected, name  # the leaves and nodes are distinct, so every mutation changes something
         assert verify_multi(TREE.root, mutated_entries, LEAF_COUNT, mutated_proof) == expected, name
 
@@ -135,7 +83,7 @@ def test_multiproof_matches_the_oracle(subset, seed):
 def test_dense_and_sparse_extremes_match_the_oracle():
     for indices in ([0], [LEAF_COUNT - 1], list(range(LEAF_COUNT)), list(range(0, LEAF_COUNT, 2)), [511, 512]):
         proof = prove_multi(TREE, indices)
-        assert proof == oracle_prove(LEVELS, indices)
+        assert proof == spec.multiproof(LEVELS, indices)
         assert len(proof) <= len(indices) * DEPTH
         assert verify_multi(TREE.root, [(i, LEAVES[i]) for i in indices], LEAF_COUNT, proof)
 
@@ -146,11 +94,11 @@ def test_one_leaf_multiproof_matches_the_oracle_at_every_leaf():
     # neighbouring index.
     for i in range(LEAF_COUNT):
         proof = prove_multi(TREE, [i])
-        assert proof == oracle_prove(LEVELS, [i])
+        assert proof == spec.multiproof(LEVELS, [i])
         assert len(proof) == DEPTH
         entries = [(i, LEAVES[i])]
         assert verify_multi(TREE.root, entries, LEAF_COUNT, proof)
-        assert oracle_verify(TREE.root, entries, LEAF_COUNT, proof)
+        assert spec.fold(entries, DEPTH, proof) == TREE.root
         at = i % DEPTH
         flipped = bytearray(proof[at])
         flipped[i % 32] ^= 1
@@ -160,6 +108,6 @@ def test_one_leaf_multiproof_matches_the_oracle_at_every_leaf():
             ("flipped digest", entries, proof[:at] + [bytes(flipped)] + proof[at + 1 :]),
             ("neighbouring index", [(i ^ 1, LEAVES[i])], proof),
         ):
-            expected = oracle_verify(TREE.root, mutated_entries, LEAF_COUNT, mutated_proof)
+            expected = spec.fold(mutated_entries, DEPTH, mutated_proof) == TREE.root
             assert not expected, name
             assert verify_multi(TREE.root, mutated_entries, LEAF_COUNT, mutated_proof) == expected, name
