@@ -41,8 +41,6 @@ __all__ = [
     "BloomParams",
     "BloomTree",
     "CodecError",
-    "ExperimentConfig",
-    "ExperimentRow",
     "InvalidField",
     "PresenceProof",
     "RootMismatch",
@@ -60,19 +58,5 @@ __all__ = [
     "fpr",
     "indices",
     "prove",
-    "run_cell",
-    "run_grid",
     "verify",
 ]
-
-_EXPERIMENT_NAMES = {"ExperimentConfig", "ExperimentRow", "run_cell", "run_grid"}
-
-
-def __getattr__(name):
-    # The experiment grid is loaded on first use, so a CLI process that only
-    # builds, proves or verifies never imports it.
-    if name in _EXPERIMENT_NAMES:
-        from . import experiment
-
-        return getattr(experiment, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,4 +1,4 @@
-"""Core Bloom filter: sizing, double-hashed indexing, insert and membership.
+"""Core Bloom filter: sizing, double-hashed indexing and insert.
 
 Chunk sizes and bit counts are powers of two, so the bit array is always a
 power-of-two number of fixed-size chunks, which a Merkle tree can commit to
@@ -47,14 +47,15 @@ class BloomParams:
     chunk_size: int
 
     def __post_init__(self):
-        size = self.chunk_size
+        m, k, size = self.m, self.k, self.chunk_size
+        if not type(m) is type(k) is type(size) is int:  # a bool, a float or an int subclass is refused
+            raise ValueError(f"m, k, chunk_size must be ints, got {', '.join(type(v).__name__ for v in (m, k, size))}")
         if not MIN_CHUNK_SIZE <= size <= MAX_CHUNK_SIZE or size & (size - 1):
             raise ValueError(
                 f"chunk_size must be a power of two in [{MIN_CHUNK_SIZE}, {MAX_CHUNK_SIZE}], got {_shown(size)}"
             )
-        if not 1 <= self.k <= MAX_K:
-            raise ValueError(f"k must be in [1, {MAX_K}], got {_shown(self.k)}")
-        m = self.m
+        if not 1 <= k <= MAX_K:
+            raise ValueError(f"k must be in [1, {MAX_K}], got {_shown(k)}")
         if not size * 8 <= m < (1 << 64) or m & (m - 1):
             raise ValueError(f"m must be a power of two in [{size * 8}, 2^64), got {_shown(m)}")
 
@@ -190,15 +191,6 @@ class BloomFilter:
         for x in range(start, start + params.k * step, step):
             i = x & low
             bits[i >> 3] |= 1 << (i & 7)
-
-    def contains(self, element: bytes) -> bool:
-        """True iff every bit the element maps to is set.
-
-        Never false for an inserted element; may be true for one that was
-        never inserted (a false positive).
-        """
-        bits = self.bits
-        return all((bits[i >> 3] >> (i & 7)) & 1 for i in indices(element, self.params))
 
     def chunk(self, chunk_index: int) -> bytes:
         """Raw bytes of one chunk of the bit array."""

@@ -70,8 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument(
         "--root",
-        help="64-char lowercase hex root; the params are read from the proof file and not checked, "
-        "since the root does not commit to k",
+        help="root as 64 hex digits, either case, whitespace allowed between byte pairs; the params "
+        "are read from the proof file and not checked, since the root does not commit to k",
     )
     source.add_argument("--filter", help="filter file to take root and params from")
     _add_element_flags(p)

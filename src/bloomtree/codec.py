@@ -22,7 +22,8 @@ from 1 to 65536, m a power of two of at least chunk_size * 8 bits, and k in
 
 Filter decoding rebuilds the Merkle root from the filter bytes and rejects
 the file if it disagrees with the stored root. Proofs echo the filter
-parameters so a verifier holding only (root, params) can cross-check them.
+parameters. Only `bloomtree verify --filter` compares them with trusted
+ones; `verify --root` takes them on trust, and the root does not commit to k.
 Trailing bytes are always an error, and every length field is validated
 against the remaining input before anything is sliced out.
 """

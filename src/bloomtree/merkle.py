@@ -35,11 +35,6 @@ _BLOCK_BYTES = 64 * 1024
 _LAYOUTS_KEPT = 128  # a layout keeps about 35 bytes per field: at most about 1.2 MB in all
 
 
-def node_hash(left: Digest, right: Digest) -> Digest:
-    """Digest of an internal node: SHA-256(0x01 || left || right)."""
-    return hashlib.sha256(_NODE_PREFIX + left + right).digest()
-
-
 @dataclass(frozen=True)
 class MerkleTree:
     """All levels of a complete binary Merkle tree.
@@ -81,8 +76,8 @@ def build_tree(leaves: Sequence[Digest]) -> MerkleTree:
 def _tree_over(leaf_level: bytes) -> MerkleTree:
     """The tree whose leaf level is ``leaf_level``, a power-of-two number of digests.
 
-    Each level above is the node_hash of each 64-byte pair of the level
-    below, hashed behind the 0x01 prefix straight from its block's one cut.
+    Each level above is SHA-256(0x01 || pair) of each 64-byte pair of the
+    level below, hashed straight from its block's one cut.
     """
     sha256 = hashlib.sha256
     prefix = _NODE_PREFIX

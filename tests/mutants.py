@@ -3,17 +3,22 @@
     python tests/mutants.py
 
 Each mutant is a source edit that removes or weakens one rule, and names
-the tests that must fail once it is applied. For each mutant, the script
-copies src/, tests/ and README.md into a temporary directory, requires
-the named tests to pass there unmutated, applies the edit (its old text
-must occur exactly once in the file) and requires pytest to exit 1, tests
-failed: a collection error (2) or no tests collected (5) does not count
-as a kill. It exits 1 and names every survivor, 0 when every mutant is
-killed. Stdlib only; pytest and hypothesis must be importable.
+the tests that must fail once it is applied. The script copies src/,
+tests/ and README.md into a temporary directory once, and requires every
+named test to pass there unmutated, in one pytest run. Then, for each
+mutant, it applies the edit (its old text must occur exactly once in the
+file), requires pytest to exit 1, tests failed, and restores the file: a
+collection error (2) or no tests collected (5) does not count as a kill.
+Every pytest run starts without bytecode or a hypothesis example database
+left by an earlier one, so no run can read a stale module or replay
+another mutant's failure. It exits 1 and names every survivor, 0 when
+every mutant is killed. Stdlib only; pytest and hypothesis must be
+importable.
 
 A change that adds a check adds its mutant here.
 """
 
+import os
 import pathlib
 import shutil
 import subprocess
@@ -124,6 +129,13 @@ MUTANTS = (
         "if len(chunks) != len(expected):",
         "if False:",
         ("tests/test_tree.py::TestVerify::test_presence_chunk_count_must_match_the_chunk_indices",),
+    ),
+    Mutant(
+        "BloomParams takes a float, a bool or an int subclass",
+        "bloom.py",
+        "if not type(m) is type(k) is type(size) is int:",
+        "if False:",
+        ("tests/test_bloom.py::TestParamsValidation::test_geometry_must_be_exact_ints",),
     ),
     Mutant(
         "BloomParams takes any chunk size",
@@ -357,8 +369,8 @@ MUTANTS = (
     Mutant(
         "BloomParams formats k raw in its message",
         "bloom.py",
-        'got {_shown(self.k)}"',
-        'got {self.k}"',
+        'MAX_K}], got {_shown(k)}"',
+        'MAX_K}], got {k}"',
         ("tests/test_bloom.py::test_messages_state_their_rule_for_any_int[params-k]",),
     ),
     Mutant(
@@ -379,13 +391,33 @@ MUTANTS = (
 
 
 def pytest_exit_code(workdir: pathlib.Path, tests: tuple[str, ...]) -> int:
-    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(command, cwd=workdir, capture_output=True).returncode
+    # Without bytecode, pytest would redo its assertion rewriting of every test
+    # and plugin module in every run, about 1 s a run; only the exit code is read.
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--assert=plain", *tests]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    code = subprocess.run(command, cwd=workdir, env=env, capture_output=True).returncode
+    shutil.rmtree(workdir / ".hypothesis", ignore_errors=True)  # its saved failures would replay in the next run
+    return code
 
 
-def check(mutant: Mutant) -> str | None:
-    """None if the mutant is killed, else why it is not."""
-    with tempfile.TemporaryDirectory(prefix="bloomtree-mutant-") as tmp:
+def check(workdir: pathlib.Path, mutant: Mutant) -> str | None:
+    """None if the mutant is killed, else why it is not. The mutated file is restored either way."""
+    target = workdir / "src" / "bloomtree" / mutant.path
+    text = target.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        return f"its old text occurs {text.count(mutant.old)} times in {mutant.path}, not once"
+    target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    try:
+        code = pytest_exit_code(workdir, mutant.tests)
+    finally:
+        target.write_text(text, encoding="utf-8")
+    if code != TESTS_FAILED:
+        return f"its tests exit {code} mutated, not {TESTS_FAILED}"
+    return None
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="bloomtree-mutants-") as tmp:
         workdir = pathlib.Path(tmp)
         for name in COPIED:
             source = ROOT / name
@@ -393,27 +425,17 @@ def check(mutant: Mutant) -> str | None:
                 shutil.copytree(source, workdir / name, ignore=shutil.ignore_patterns("__pycache__"))
             else:
                 shutil.copy2(source, workdir / name)
-        target = workdir / "src" / "bloomtree" / mutant.path
-        text = target.read_text(encoding="utf-8")
-        if text.count(mutant.old) != 1:
-            return f"its old text occurs {text.count(mutant.old)} times in {mutant.path}, not once"
-        code = pytest_exit_code(workdir, mutant.tests)
+        named = tuple(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
+        code = pytest_exit_code(workdir, named)
         if code != 0:
-            return f"its tests exit {code} unmutated"
-        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-        code = pytest_exit_code(workdir, mutant.tests)
-        if code != TESTS_FAILED:
-            return f"its tests exit {code} mutated, not {TESTS_FAILED}"
-    return None
-
-
-def main() -> int:
-    survivors = []
-    for mutant in MUTANTS:
-        reason = check(mutant)
-        print(f"{'killed' if reason is None else 'SURVIVED'}: {mutant.name}", flush=True)
-        if reason is not None:
-            survivors.append(f"{mutant.name}: {reason}")
+            print(f"the named tests exit {code} unmutated, so no mutant can be judged", file=sys.stderr)
+            return 1
+        survivors = []
+        for mutant in MUTANTS:
+            reason = check(workdir, mutant)
+            print(f"{'killed' if reason is None else 'SURVIVED'}: {mutant.name}", flush=True)
+            if reason is not None:
+                survivors.append(f"{mutant.name}: {reason}")
     for line in survivors:
         print(f"survivor: {line}", file=sys.stderr)
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")

@@ -17,8 +17,6 @@ PUBLIC_NAMES = [
     "BloomParams",
     "BloomTree",
     "CodecError",
-    "ExperimentConfig",
-    "ExperimentRow",
     "InvalidField",
     "PresenceProof",
     "RootMismatch",
@@ -36,8 +34,6 @@ PUBLIC_NAMES = [
     "fpr",
     "indices",
     "prove",
-    "run_cell",
-    "run_grid",
     "verify",
 ]
 
@@ -47,7 +43,6 @@ MODULE_ONLY = {
         "DIGEST_SIZE",
         "MerkleTree",
         "build_tree",
-        "node_hash",
         "prove_multi",
         "prove_single",
         "verify_multi",

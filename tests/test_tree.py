@@ -86,6 +86,12 @@ def populated_tree(params=SMALL, count=None, seed=1):
     return build(filt), inserted, rng
 
 
+def absent_element(bloom_tree, rng) -> bytes:
+    """A random 13-byte element with a zero at one of its bits in the committed filter, by the spec's rule."""
+    bits, params = bloom_tree.filter.bits, bloom_tree.filter.params
+    return next(e for e in iter(lambda: rng.randbytes(13), None) if not spec.contains(bits, params.m, params.k, e))
+
+
 class TestLeafHash:
     def test_golden_vectors(self):
         chunk = bytes.fromhex("deadbeef00112233")
@@ -303,13 +309,13 @@ class TestVerify:
             element = rng.randbytes(13)
             verdict = verify(bloom_tree.root, params, element, prove(bloom_tree, element))
             if verdict.kind is VerdictKind.DEFINITELY_ABSENT:
-                assert not bloom_tree.filter.contains(element)
+                assert not spec.contains(bloom_tree.filter.bits, params.m, params.k, element)
                 assert element not in inserted_set
 
     def test_absence_for_irrelevant_chunk_is_invalid(self):
         bloom_tree, _, rng = populated_tree(seed=12)
         params = bloom_tree.filter.params
-        element = next(e for e in iter(lambda: rng.randbytes(13), None) if not bloom_tree.filter.contains(e))
+        element = absent_element(bloom_tree, rng)
         proof = prove(bloom_tree, element)
         assert isinstance(proof, AbsenceProof)
         touched = {locate(i, params)[0] for i in indices(element, params)}
@@ -383,7 +389,7 @@ class TestVerify:
         # Every chunk and digest is the committed one, so only the zero at a
         # required bit tells this proof from an honest one.
         bloom_tree, _, rng = populated_tree(seed=33)
-        outsider = next(e for e in iter(lambda: rng.randbytes(13), None) if not bloom_tree.filter.contains(e))
+        outsider = absent_element(bloom_tree, rng)
         positions = indices(outsider, SMALL)
         chunk_set = sorted({locate(i, SMALL)[0] for i in positions})
         chunks = tuple(bloom_tree.filter.chunk(c) for c in chunk_set)
@@ -516,7 +522,7 @@ class TestVerify:
         bloom_tree, inserted, rng = populated_tree(seed=29)
         params = bloom_tree.filter.params
         present = prove(bloom_tree, inserted[0])
-        absent = next(e for e in iter(lambda: rng.randbytes(13), None) if not bloom_tree.filter.contains(e))
+        absent = absent_element(bloom_tree, rng)
         absence = prove(bloom_tree, absent)
         assert isinstance(present, PresenceProof) and isinstance(absence, AbsenceProof)
         first = present.chunk_indices[0]
@@ -549,7 +555,7 @@ class TestVerify:
 
         bloom_tree, inserted, rng = populated_tree(PARAMS_32, count=2000, seed=26)
         params = bloom_tree.filter.params
-        absent = next(e for e in iter(lambda: rng.randbytes(13), None) if not bloom_tree.filter.contains(e))
+        absent = absent_element(bloom_tree, rng)
         cases = [
             (inserted[0], "multiproof", VerdictKind.MAYBE_PRESENT, "multiproof does not reconstruct the root"),
             (absent, "path", VerdictKind.DEFINITELY_ABSENT, "path does not reconstruct the root"),
@@ -585,7 +591,7 @@ class TestVerify:
         verdict = verify(bloom_tree.root, SMALL, member, forged)
         assert (verdict.kind, verdict.reason) == (VerdictKind.INVALID, "chunk is not exactly 8 bytes")
 
-        outsider = next(e for e in iter(lambda: rng.randbytes(13), None) if not bloom_tree.filter.contains(e))
+        outsider = absent_element(bloom_tree, rng)
         chunk_set = sorted({locate(i, SMALL)[0] for i in indices(outsider, SMALL)})
         chunks = tuple(lying_chunks(bloom_tree.filter.chunk(c), 0xFF)[stand_in] for c in chunk_set)
         forged = PresenceProof(tuple(chunk_set), chunks, tuple(prove_multi(bloom_tree.tree, chunk_set)))
@@ -609,7 +615,7 @@ class TestVerify:
                 raise RuntimeError("compared")
 
         bloom_tree, inserted, rng = populated_tree(seed=32)
-        outsider = next(e for e in iter(lambda: rng.randbytes(13), None) if not bloom_tree.filter.contains(e))
+        outsider = absent_element(bloom_tree, rng)
         absence = prove(bloom_tree, outsider)
         assert isinstance(absence, AbsenceProof)
         for index in (Anything(absence.chunk_index), Raises(absence.chunk_index), float(absence.chunk_index)):
