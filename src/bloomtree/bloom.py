@@ -9,8 +9,8 @@ rate below the requested target.
 
 import hashlib
 import math
+import operator
 import struct
-from dataclasses import dataclass
 
 MIN_CHUNK_SIZE = 1
 MAX_CHUNK_SIZE = 65536
@@ -31,8 +31,44 @@ def _shown(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class BloomParams:
+class _Frozen:
+    """Base of the library's records: ==, hash and repr over the fields in __slots__, none of which can be set.
+
+    A subclass lists its fields in __slots__ and sets them in __init__ with
+    object.__setattr__. copy and pickle rebuild a record through its
+    constructor, as their default restore would set the slots.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # One C-level read of the fields for == and hash: a tuple, or the one field itself.
+        cls._key = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BloomParams(_Frozen):
     """Filter geometry shared by prover and verifier.
 
     m is the bit count, k in [1, MAX_K] the number of hash indices per
@@ -42,12 +78,10 @@ class BloomParams:
     power of two too.
     """
 
-    m: int
-    k: int
-    chunk_size: int
+    __slots__ = ("m", "k", "chunk_size")
 
-    def __post_init__(self):
-        m, k, size = self.m, self.k, self.chunk_size
+    def __init__(self, m: int, k: int, chunk_size: int) -> None:
+        size = chunk_size
         if not type(m) is type(k) is type(size) is int:  # a bool, a float or an int subclass is refused
             raise ValueError(f"m, k, chunk_size must be ints, got {', '.join(type(v).__name__ for v in (m, k, size))}")
         if not MIN_CHUNK_SIZE <= size <= MAX_CHUNK_SIZE or size & (size - 1):
@@ -58,6 +92,9 @@ class BloomParams:
             raise ValueError(f"k must be in [1, {MAX_K}], got {_shown(k)}")
         if not size * 8 <= m < (1 << 64) or m & (m - 1):
             raise ValueError(f"m must be a power of two in [{size * 8}, 2^64), got {_shown(m)}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "chunk_size", size)
 
     @property
     def chunk_bits(self) -> int:
@@ -146,8 +183,7 @@ def indices(element: bytes, params: BloomParams) -> list[int]:
     return [x & low for x in range(start, start + params.k * step, step)]
 
 
-@dataclass(frozen=True)
-class BloomFilter:
+class BloomFilter(_Frozen):
     """A bit array of exactly ``params.m`` bits plus its geometry.
 
     Bit i lives in byte i // 8 at position i % 8, least significant bit
@@ -161,17 +197,16 @@ class BloomFilter:
     insert sets bits inside a ``bytearray``.
     """
 
-    params: BloomParams
-    bits: bytearray | bytes | None = None
+    __slots__ = ("params", "bits")
 
-    def __post_init__(self):
-        bits = self.bits
+    def __init__(self, params: BloomParams, bits: bytearray | bytes | None = None) -> None:
         if bits is None:
-            bits = bytearray(self.params.byte_length)
+            bits = bytearray(params.byte_length)
         elif type(bits) is not bytes:
             bits = bytearray(memoryview(bits))
-        if len(bits) != self.params.byte_length:
-            raise ValueError(f"backing array must be exactly {self.params.byte_length} bytes, got {len(bits)}")
+        if len(bits) != params.byte_length:
+            raise ValueError(f"backing array must be exactly {params.byte_length} bytes, got {len(bits)}")
+        object.__setattr__(self, "params", params)
         object.__setattr__(self, "bits", bits)
 
     def insert(self, element: bytes) -> None:

@@ -21,8 +21,9 @@ import hashlib
 import operator
 import struct
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import chain
+
+from .bloom import _Frozen
 
 DIGEST_SIZE = 32
 
@@ -35,8 +36,7 @@ _BLOCK_BYTES = 64 * 1024
 _LAYOUTS_KEPT = 128  # a layout keeps about 35 bytes per field: at most about 1.2 MB in all
 
 
-@dataclass(frozen=True)
-class MerkleTree:
+class MerkleTree(_Frozen):
     """All levels of a complete binary Merkle tree.
 
     levels[0] holds the 2^L leaves, levels[t] the 2^(L-t) nodes of level t,
@@ -46,7 +46,10 @@ class MerkleTree:
     _blocks for what it holds beyond the levels.
     """
 
-    levels: tuple[bytes, ...]
+    __slots__ = ("levels",)
+
+    def __init__(self, levels: tuple[bytes, ...]) -> None:
+        object.__setattr__(self, "levels", levels)
 
     @property
     def leaf_count(self) -> int:

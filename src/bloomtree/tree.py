@@ -13,9 +13,8 @@ off as a proof for another.
 import enum
 import hashlib
 import struct
-from dataclasses import dataclass
 
-from .bloom import BloomFilter, BloomParams, indices
+from .bloom import BloomFilter, BloomParams, _Frozen, indices
 from .merkle import (
     Digest,
     MerkleTree,
@@ -70,8 +69,7 @@ class VerdictKind(enum.Enum):
     INVALID = "Invalid"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Frozen):
     """Three-valued verification outcome.
 
     MAYBE_PRESENT only ever comes from a valid presence proof,
@@ -79,8 +77,11 @@ class Verdict:
     INVALID with a reason.
     """
 
-    kind: VerdictKind
-    reason: str | None = None
+    __slots__ = ("kind", "reason")
+
+    def __init__(self, kind: VerdictKind, reason: str | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "reason", reason)
 
     @classmethod
     def maybe_present(cls) -> "Verdict":
@@ -104,33 +105,36 @@ class Verdict:
         return self.kind.value
 
 
-@dataclass(frozen=True)
-class PresenceProof:
+class PresenceProof(_Frozen):
     """Chunks covering all k bits of an element, plus one multiproof.
 
     chunk_indices is strictly increasing with at most k entries; chunks are
     the corresponding raw chunk bytes.
     """
 
-    chunk_indices: tuple[int, ...]
-    chunks: tuple[bytes, ...]
-    multiproof: tuple[Digest, ...]
+    __slots__ = ("chunk_indices", "chunks", "multiproof")
+
+    def __init__(self, chunk_indices: tuple[int, ...], chunks: tuple[bytes, ...], multiproof: tuple[Digest, ...]) -> None:
+        object.__setattr__(self, "chunk_indices", chunk_indices)
+        object.__setattr__(self, "chunks", chunks)
+        object.__setattr__(self, "multiproof", multiproof)
 
 
-@dataclass(frozen=True)
-class AbsenceProof:
+class AbsenceProof(_Frozen):
     """One chunk holding a zero at a required bit, plus its sibling path.
 
     The path is the one-leaf multiproof of that chunk: one digest per level.
     """
 
-    chunk_index: int
-    chunk: bytes
-    path: tuple[Digest, ...]
+    __slots__ = ("chunk_index", "chunk", "path")
+
+    def __init__(self, chunk_index: int, chunk: bytes, path: tuple[Digest, ...]) -> None:
+        object.__setattr__(self, "chunk_index", chunk_index)
+        object.__setattr__(self, "chunk", chunk)
+        object.__setattr__(self, "path", path)
 
 
-@dataclass(frozen=True)
-class BloomTree:
+class BloomTree(_Frozen):
     """A Bloom filter plus the Merkle tree over its index-salted chunks.
 
     Immutable once built: ``filter`` is a read-only snapshot of the bits the
@@ -139,8 +143,11 @@ class BloomTree:
     them.
     """
 
-    filter: BloomFilter
-    tree: MerkleTree
+    __slots__ = ("filter", "tree")
+
+    def __init__(self, filter: BloomFilter, tree: MerkleTree) -> None:
+        object.__setattr__(self, "filter", filter)
+        object.__setattr__(self, "tree", tree)
 
     @property
     def root(self) -> Digest:

@@ -343,14 +343,29 @@ MUTANTS = (
         ("tests/test_bloom.py::TestFilter::test_backing_array_must_be_bytes_like",),
     ),
     Mutant(
-        "BloomFilter fields can be reassigned",
+        "record fields can be reassigned",
         "bloom.py",
-        "@dataclass(frozen=True)\nclass BloomFilter:",
-        "@dataclass\nclass BloomFilter:",
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "object.__setattr__(self, name, value)",
         (
             "tests/test_bloom.py::TestFilter::test_fields_cannot_be_reassigned",
             "tests/test_tree.py::TestBuild::test_committed_filter_cannot_be_reassigned",
+            "tests/test_values.py::test_value_semantics",
         ),
+    ),
+    Mutant(
+        "records compare equal across types",
+        "bloom.py",
+        "        if type(other) is not type(self):\n            return NotImplemented\n",
+        "",
+        ("tests/test_values.py::test_value_semantics",),
+    ),
+    Mutant(
+        "copy and pickle restore records through setattr",
+        "bloom.py",
+        "    def __reduce__(self):\n        return type(self), tuple([getattr(self, name) for name in self.__slots__])\n\n",
+        "",
+        ("tests/test_values.py::test_value_semantics",),
     ),
     Mutant(
         "leaf_hash turns an int chunk into zero bytes",

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import tracemalloc
 
@@ -92,6 +91,12 @@ def absent_element(bloom_tree, rng) -> bytes:
     return next(e for e in iter(lambda: rng.randbytes(13), None) if not spec.contains(bits, params.m, params.k, e))
 
 
+def replaced(proof, **changes):
+    """A proof of the same type as ``proof`` with the named fields changed and the others kept."""
+    kept = {name: getattr(proof, name) for name in type(proof).__slots__ if name not in changes}
+    return type(proof)(**kept, **changes)
+
+
 class TestLeafHash:
     def test_golden_vectors(self):
         chunk = bytes.fromhex("deadbeef00112233")
@@ -183,7 +188,7 @@ class TestBuild:
         # the holder would otherwise serve proofs over bits the root does not commit to
         bloom_tree, inserted, _ = populated_tree(seed=30)
         for name, value in (("bits", bytes(SMALL.byte_length)), ("bits", SMALL.byte_length), ("params", PARAMS_32)):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(bloom_tree.filter, name, value)
         for element in inserted:
             verdict = verify(bloom_tree.root, SMALL, element, prove(bloom_tree, element))
@@ -534,13 +539,13 @@ class TestVerify:
 
         for junk in (b"", None, 7, present.chunks[0] + b"\x00", present.chunks[0][:-1]):
             chunks = (junk, *present.chunks[1:])
-            cases.append((inserted[0], dataclasses.replace(present, chunks=chunks), f"chunk {first} is not exactly 8 bytes"))
-            cases.append((absent, dataclasses.replace(absence, chunk=junk), "chunk is not exactly 8 bytes"))
+            cases.append((inserted[0], replaced(present, chunks=chunks), f"chunk {first} is not exactly 8 bytes"))
+            cases.append((absent, replaced(absence, chunk=junk), "chunk is not exactly 8 bytes"))
         for junk in (None, 7, raising(absence.path)):
-            cases.append((absent, dataclasses.replace(absence, path=junk), "malformed absence proof path"))
+            cases.append((absent, replaced(absence, path=junk), "malformed absence proof path"))
         for field in ("chunk_indices", "chunks", "multiproof"):
             junk = {field: raising(getattr(present, field))}
-            cases.append((inserted[0], dataclasses.replace(present, **junk), "malformed presence proof fields"))
+            cases.append((inserted[0], replaced(present, **junk), "malformed presence proof fields"))
         for element, proof, reason in cases:
             verdict = verify(bloom_tree.root, params, element, proof)
             assert (verdict.kind, verdict.reason) == (VerdictKind.INVALID, reason), proof
@@ -568,11 +573,11 @@ class TestVerify:
                 for junk in (None, 7, "x" * 32, b"\x00" * 31, b"\x00" * 33, Digest(digests[position])):
                     tampered = list(digests)
                     tampered[position] = junk
-                    proof = dataclasses.replace(honest, **{field: tuple(tampered)})
+                    proof = replaced(honest, **{field: tuple(tampered)})
                     verdict = verify(bloom_tree.root, params, element, proof)
                     assert verdict.kind is VerdictKind.INVALID, (field, position, junk)
                     assert verdict.reason == reason
-            proof = dataclasses.replace(honest, **{field: tuple(map(bytearray, digests))})
+            proof = replaced(honest, **{field: tuple(map(bytearray, digests))})
             assert verify(bloom_tree.root, params, element, proof).kind is kind
 
     @pytest.mark.parametrize("stand_in", [0, 1], ids=["bytes-subclass", "impostor"])
@@ -619,13 +624,13 @@ class TestVerify:
         absence = prove(bloom_tree, outsider)
         assert isinstance(absence, AbsenceProof)
         for index in (Anything(absence.chunk_index), Raises(absence.chunk_index), float(absence.chunk_index)):
-            verdict = verify(bloom_tree.root, SMALL, outsider, dataclasses.replace(absence, chunk_index=index))
+            verdict = verify(bloom_tree.root, SMALL, outsider, replaced(absence, chunk_index=index))
             assert (verdict.kind, verdict.reason) == (VerdictKind.INVALID, "chunk index must be an integer")
         presence = prove(bloom_tree, inserted[0])
         assert isinstance(presence, PresenceProof)
         first, *rest = presence.chunk_indices
         for index in (Anything(first), Raises(first), float(first)):
-            proof = dataclasses.replace(presence, chunk_indices=(index, *rest))
+            proof = replaced(presence, chunk_indices=(index, *rest))
             verdict = verify(bloom_tree.root, SMALL, inserted[0], proof)
             assert (verdict.kind, verdict.reason) == (
                 VerdictKind.INVALID,
