@@ -177,11 +177,23 @@ class TestProofCodec:
         with pytest.raises(codec.InvalidField):
             codec.decode_proof(bytes(blob))
 
+    def test_bad_magic(self):
+        blob = bytearray(bytes.fromhex(GOLDEN_ABSENCE_HEX))
+        blob[0] ^= 0xFF
+        with pytest.raises(codec.BadMagic):
+            codec.decode_proof(bytes(blob))
+
+    def test_unsupported_version(self):
+        blob = bytearray(bytes.fromhex(GOLDEN_ABSENCE_HEX))
+        blob[4] = 0x02
+        with pytest.raises(codec.UnsupportedVersion):
+            codec.decode_proof(bytes(blob))
+
     def test_truncation_everywhere(self):
         params, proofs = sample_proofs(4, seed=44)
         blob = codec.encode_proof(params, proofs[0])
         for cut in range(len(blob)):
-            with pytest.raises(codec.CodecError):
+            with pytest.raises(codec.TruncatedPayload):
                 codec.decode_proof(blob[:cut])
 
     def test_trailing_byte(self):
@@ -284,6 +296,84 @@ def test_bytes_like_inputs_decode_alike():
             assert codec.decode_proof(form(blob)) == codec.decode_proof(blob)
     # bytes are read in place: a load does not pay for a second copy of the filter
     assert codec._Reader(filter_blob).data is filter_blob
+
+
+def headers(magic, kind=b""):
+    """Four headers, each with the cut from which its prefixes stop raising TruncatedPayload and the error they raise."""
+    params = struct.pack("<QII", 64, 2, 8)
+    version = bytes([codec.VERSION])
+    whole = len(magic) + 1 + len(kind) + len(params)
+    return [
+        (magic + version + kind + params, whole + 1, codec.TruncatedPayload),  # the body is missing
+        (bytes([magic[0] ^ 0xFF]) + magic[1:] + version + kind + params, 4, codec.BadMagic),
+        (magic + bytes([codec.VERSION + 1]) + kind + params, 5, codec.UnsupportedVersion),
+        (magic + version + kind + struct.pack("<QII", 64, 0, 8), whole, codec.InvalidField),
+    ]
+
+
+@pytest.mark.parametrize(
+    "decode,header,bad_from,error",
+    [
+        *((codec.decode_filter, *case) for case in headers(codec.FILTER_MAGIC)),
+        *((codec.decode_proof, *case) for case in headers(codec.PROOF_MAGIC, bytes([codec.ABSENCE_KIND]))),
+        *((codec.decode_proof, *case) for case in headers(codec.PROOF_MAGIC, bytes([codec.PRESENCE_KIND]))),
+    ],
+)
+def test_every_header_prefix_raises_the_error_of_its_first_bad_field(decode, header, bad_from, error):
+    # The fields are checked in order: magic, version, params, then the body.
+    # A wrong magic or version is named as soon as its field is whole.
+    for cut in range(len(header) + 1):
+        with pytest.raises(codec.TruncatedPayload if cut < bad_from else error):
+            decode(header[:cut])
+
+
+@pytest.mark.parametrize(
+    "blob,cuts",
+    [
+        (
+            bytes.fromhex(GOLDEN_FILTER_HEX),
+            {
+                0: "need 4 more bytes at offset 0, have 0",
+                3: "need 4 more bytes at offset 0, have 3",
+                4: "need 1 more bytes at offset 4, have 0",
+                12: "need 16 more bytes at offset 5, have 7",
+                21: "need 8 more bytes at offset 21, have 0",
+                25: "need 8 more bytes at offset 21, have 4",
+                60: "need 32 more bytes at offset 29, have 31",
+            },
+        ),
+        (
+            bytes.fromhex(GOLDEN_ABSENCE_HEX),
+            {
+                5: "need 1 more bytes at offset 5, have 0",
+                21: "need 16 more bytes at offset 6, have 15",
+                25: "need 8 more bytes at offset 22, have 3",
+                33: "need 8 more bytes at offset 30, have 3",
+                39: "need 2 more bytes at offset 38, have 1",
+            },
+        ),
+        (
+            # count 2 @22 | indices @24 | chunks @40 | digest count @56 | one digest @58
+            codec.encode_proof(GOLDEN_PARAMS, PresenceProof((0, 3), (GOLDEN_BITS, bytes(8)), (bytes(32),))),
+            {
+                23: "need 2 more bytes at offset 22, have 1",
+                30: "need 16 more bytes at offset 24, have 6",
+                45: "need 16 more bytes at offset 40, have 5",
+                56: "need 2 more bytes at offset 56, have 0",
+                89: "need 32 more bytes at offset 58, have 31",
+            },
+        ),
+    ],
+    ids=["filter", "absence", "presence"],
+)
+def test_truncation_names_the_field_it_cuts(blob, cuts):
+    decode = codec.decode_filter if blob.startswith(codec.FILTER_MAGIC) else codec.decode_proof
+    for cut, message in cuts.items():
+        with pytest.raises(codec.TruncatedPayload) as raised:
+            decode(blob[:cut])
+        assert str(raised.value) == message
+    with pytest.raises(codec.TrailingBytes, match="^1 unexpected trailing bytes$"):
+        decode(blob + b"\x00")
 
 
 @st.composite
