@@ -83,13 +83,13 @@ class Verdict(_Frozen):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "reason", reason)
 
-    @classmethod
-    def maybe_present(cls) -> "Verdict":
-        return cls(VerdictKind.MAYBE_PRESENT)
+    @staticmethod
+    def maybe_present() -> "Verdict":
+        return _MAYBE_PRESENT
 
-    @classmethod
-    def definitely_absent(cls) -> "Verdict":
-        return cls(VerdictKind.DEFINITELY_ABSENT)
+    @staticmethod
+    def definitely_absent() -> "Verdict":
+        return _DEFINITELY_ABSENT
 
     @classmethod
     def invalid(cls, reason: str) -> "Verdict":
@@ -103,6 +103,11 @@ class Verdict(_Frozen):
         if self.kind is VerdictKind.INVALID and self.reason:
             return f"{self.kind.value}: {self.reason}"
         return self.kind.value
+
+
+# The two valid verdicts carry no reason, so each is one shared immutable record.
+_MAYBE_PRESENT = Verdict(VerdictKind.MAYBE_PRESENT)
+_DEFINITELY_ABSENT = Verdict(VerdictKind.DEFINITELY_ABSENT)
 
 
 class PresenceProof(_Frozen):

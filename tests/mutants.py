@@ -93,11 +93,45 @@ MUTANTS = (
         ("tests/test_merkle.py::TestBuildTree::test_rejects_non_power_of_two",),
     ),
     Mutant(
+        "the header check takes any magic",
+        "codec.py",
+        "if found != magic:",
+        "if False:",
+        (
+            "tests/test_codec.py::TestFilterCodec::test_bad_magic",
+            "tests/test_codec.py::TestProofCodec::test_bad_magic",
+        ),
+    ),
+    Mutant(
         "the header check takes any version",
         "codec.py",
         "if version != VERSION:",
         "if False:",
-        ("tests/test_codec.py::TestFilterCodec::test_unsupported_version",),
+        (
+            "tests/test_codec.py::TestFilterCodec::test_unsupported_version",
+            "tests/test_codec.py::TestProofCodec::test_unsupported_version",
+        ),
+    ),
+    Mutant(
+        "a header cut short takes any magic",
+        "codec.py",
+        "found = data[:4] if have >= 4 else magic",
+        "found = magic",
+        ("tests/test_codec.py::test_every_header_prefix_raises_the_error_of_its_first_bad_field",),
+    ),
+    Mutant(
+        "a header cut short takes any version",
+        "codec.py",
+        "version = data[4] if have > 4 else VERSION",
+        "version = VERSION",
+        ("tests/test_codec.py::test_every_header_prefix_raises_the_error_of_its_first_bad_field",),
+    ),
+    Mutant(
+        "a whole header is read as one cut short",
+        "codec.py",
+        "if have >= layout.size:",
+        "if have > layout.size:",
+        ("tests/test_codec.py::test_every_header_prefix_raises_the_error_of_its_first_bad_field",),
     ),
     Mutant(
         "ExperimentConfig takes an empty axis",
@@ -295,10 +329,52 @@ MUTANTS = (
         ("tests/test_codec.py::TestVerdictsOnProofBytes::test_tampered_bytes_get_the_spec_verdict",),
     ),
     Mutant(
-        "the decoders take trailing bytes",
+        "the filter decoder slices its filter bytes and root unchecked",
         "codec.py",
-        "if self.offset != len(self.data):",
-        "if False:",
+        "if end > have:\n        raise _truncated(have, at, size, DIGEST_SIZE)",
+        "if False:\n        raise _truncated(have, at, size, DIGEST_SIZE)",
+        ("tests/test_codec.py::test_truncation_names_the_field_it_cuts",),
+    ),
+    Mutant(
+        "the proof decoder reads a presence chunk count unchecked",
+        "codec.py",
+        "if at + 2 > have:\n            raise _truncated(have, at, 2)",
+        "if False:\n            raise _truncated(have, at, 2)",
+        ("tests/test_codec.py::test_truncation_names_the_field_it_cuts",),
+    ),
+    Mutant(
+        "the proof decoder slices presence chunk indices and chunks unchecked",
+        "codec.py",
+        "if digests_at + 2 > have:\n            raise _truncated(have, at, 8 * count",
+        "if False:\n            raise _truncated(have, at, 8 * count",
+        ("tests/test_codec.py::test_truncation_names_the_field_it_cuts",),
+    ),
+    Mutant(
+        "the proof decoder slices an absence chunk index and chunk unchecked",
+        "codec.py",
+        "if digests_at + 2 > have:\n            raise _truncated(have, at, 8, size",
+        "if False:\n            raise _truncated(have, at, 8, size",
+        ("tests/test_codec.py::test_truncation_names_the_field_it_cuts",),
+    ),
+    Mutant(
+        "the proof decoder slices its digests unchecked",
+        "codec.py",
+        "if end > have:\n        raise _truncated(have, at, DIGEST_SIZE * count)",
+        "if False:\n        raise _truncated(have, at, DIGEST_SIZE * count)",
+        ("tests/test_codec.py::test_truncation_names_the_field_it_cuts",),
+    ),
+    Mutant(
+        "the filter decoder takes trailing bytes",
+        "codec.py",
+        "raise _truncated(have, at, size, DIGEST_SIZE)\n    if end != have:",
+        "raise _truncated(have, at, size, DIGEST_SIZE)\n    if False:",
+        ("tests/test_codec.py::TestFilterCodec::test_trailing_bytes",),
+    ),
+    Mutant(
+        "the proof decoder takes trailing bytes",
+        "codec.py",
+        "raise _truncated(have, at, DIGEST_SIZE * count)\n    if end != have:",
+        "raise _truncated(have, at, DIGEST_SIZE * count)\n    if False:",
         ("tests/test_codec.py::TestVerdictsOnProofBytes::test_tampered_bytes_get_the_spec_verdict",),
     ),
     Mutant(
@@ -377,8 +453,8 @@ MUTANTS = (
     Mutant(
         "the decoders turn an int into zero bytes",
         "codec.py",
-        "self.data = data if type(data) is bytes else bytes(memoryview(data))",
-        "self.data = bytes(data)",
+        "return data if type(data) is bytes else bytes(memoryview(data))",
+        "return bytes(data)",
         ("tests/test_codec.py::test_input_that_is_not_bytes_like_raises_type_error",),
     ),
     Mutant(
@@ -394,6 +470,16 @@ MUTANTS = (
         "if not _reconstructs(root, params, claimed, multiproof):",
         "if False:",
         ("tests/test_codec.py::TestVerdictsOnProofBytes::test_tampered_bytes_get_the_spec_verdict",),
+    ),
+    Mutant(
+        "definitely_absent() gives the MaybePresent verdict",
+        "tree.py",
+        "return _DEFINITELY_ABSENT",
+        "return _MAYBE_PRESENT",
+        (
+            "tests/test_tree.py::TestVerdict::test_labels",
+            "tests/test_codec.py::TestVerdictsOnProofBytes::test_tampered_bytes_get_the_spec_verdict",
+        ),
     ),
     Mutant(
         "the grid takes the upper median",

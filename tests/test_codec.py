@@ -295,7 +295,7 @@ def test_bytes_like_inputs_decode_alike():
         for blob in proof_blobs:
             assert codec.decode_proof(form(blob)) == codec.decode_proof(blob)
     # bytes are read in place: a load does not pay for a second copy of the filter
-    assert codec._Reader(filter_blob).data is filter_blob
+    assert codec._buffer(filter_blob) is filter_blob
 
 
 def headers(magic, kind=b""):

@@ -693,6 +693,13 @@ class TestVerdict:
         assert Verdict.definitely_absent().is_valid
         assert not Verdict.invalid("no").is_valid
 
+    def test_valid_verdicts_are_shared_records(self):
+        # They carry no reason, so verify hands out one immutable record of each.
+        assert Verdict.maybe_present() is Verdict.maybe_present()
+        assert Verdict.definitely_absent() is Verdict.definitely_absent()
+        assert Verdict.maybe_present() == Verdict(VerdictKind.MAYBE_PRESENT)
+        assert Verdict.definitely_absent() == Verdict(VerdictKind.DEFINITELY_ABSENT)
+
 
 def test_verify_matches_whole_filter_oracle():
     # Small filter (8 chunks): proof-based verdicts agree with the reference's
