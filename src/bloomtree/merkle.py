@@ -35,6 +35,14 @@ _BLOCK_FIELDS = 256
 _BLOCK_BYTES = 64 * 1024
 _LAYOUTS_KEPT = 128  # a layout keeps about 35 bytes per field: at most about 1.2 MB in all
 
+# The record of _verify_leaves: (root, depth, levels) of the tree it verified
+# last. levels holds its top _KEPT_LEVELS levels (all of a shallower tree),
+# laid out as MerkleTree.levels, the root last: at most 2**13 - 1 digests,
+# 256 KiB. A digest no verified fold has shown is _UNSEEN.
+_KEPT_LEVELS = 13
+_UNSEEN = bytes(DIGEST_SIZE)
+_kept: tuple = (None, -1, None)
+
 
 class MerkleTree(_Frozen):
     """All levels of a complete binary Merkle tree.
@@ -232,46 +240,111 @@ def _verify_leaves(
     The caller vouches for the root and for the leaves: a non-empty, strictly
     increasing run of in-range int positions and one digest each. Only the
     proof's digests, which nobody vouched for, are checked here.
+
+    The leaves are hashed up to the lowest level _kept holds. If the record
+    is this (root, depth)'s and holds every node reached there, the rest of
+    the proof must be what _prove reads off the kept levels, and nothing more
+    is hashed. Otherwise the nodes are hashed on to the root, and a fold that
+    reproduces it is copied into the record.
     """
     if not _all_digests(proof):
         return False
+    bottom = max(depth + 1 - _KEPT_LEVELS, 0)
+    folded = _fold(positions, nodes, proof, 0, bottom, depth, [])
+    if folded is None:
+        return False
+    positions, nodes, cursor = folded
+    kept = _kept_levels(root, depth)
+    if kept is not None and _UNSEEN not in nodes:
+        level = kept[0]
+        if [level[pos * DIGEST_SIZE : (pos + 1) * DIGEST_SIZE] for pos in positions] == list(nodes):
+            return list(proof[cursor:]) == _prove(kept, positions)
+    seen = []
+    folded = _fold(positions, nodes, proof, cursor, depth - bottom, depth - bottom, seen)
+    if folded is None or folded[1][0] != root:
+        return False
+    _keep(root, depth, bottom, seen)
+    return True
 
+
+def _fold(positions, nodes, proof, cursor, steps, levels_left, seen):
+    """Hash the frontier (positions, nodes) ``steps`` levels up, reading unknown siblings from proof[cursor:].
+
+    Returns the frontier reached and the new cursor, or None on a proof
+    underflow. Once the frontier is one node, the rest of the proof must be
+    exactly one sibling per level of ``levels_left`` still left, which is
+    checked before that node is hashed any further. Each level folded appends
+    (parent positions, preimages) to ``seen``: less its prefix byte, the
+    preimage of parent q is its two children, bytes [64q, 64q + 64) of the
+    level below.
+    """
     sha256 = hashlib.sha256
     prefix = _NODE_PREFIX
     available = len(proof)
-    cursor = 0
-    levels_left = depth
     # Distinct in-range positions narrow to one node by the root level at the latest.
     while len(positions) > 1:
+        if not steps:
+            return positions, nodes, cursor
         count = len(positions)
         parents = []
-        digests = []
+        pairs = []
         i = 0
         while i < count:
             pos = positions[i]
             node = nodes[i]
             if i + 1 < count and positions[i + 1] == pos ^ 1:
-                digests.append(sha256(prefix + node + nodes[i + 1]).digest())
+                pairs.append(prefix + node + nodes[i + 1])
                 i += 2
             else:
                 if cursor == available:
-                    return False  # proof underflow
+                    return None  # proof underflow
                 sibling = proof[cursor]
                 cursor += 1
-                digests.append(sha256(prefix + sibling + node if pos & 1 else prefix + node + sibling).digest())
+                pairs.append(prefix + sibling + node if pos & 1 else prefix + node + sibling)
                 i += 1
             parents.append(pos >> 1)
+        seen.append((parents, pairs))
         positions = parents
-        nodes = digests
+        nodes = [sha256(pair).digest() for pair in pairs]
+        steps -= 1
         levels_left -= 1
     if available - cursor != levels_left:
-        return False  # the rest of the proof must be exactly one sibling per level left
+        return None  # the rest of the proof must be exactly one sibling per level left
     pos = positions[0]
     node = nodes[0]
-    for sibling in proof[cursor:]:
-        node = sha256(prefix + sibling + node if pos & 1 else prefix + node + sibling).digest()
+    for sibling in proof[cursor : cursor + steps]:
+        pair = prefix + sibling + node if pos & 1 else prefix + node + sibling
         pos >>= 1
-    return node == root
+        seen.append(((pos,), (pair,)))
+        node = sha256(pair).digest()
+    return [pos], [node], cursor + steps
+
+
+def _kept_levels(root: Digest, depth: int) -> list | None:
+    """The kept levels if the record is the tree of this root and depth, else None."""
+    kept_root, kept_depth, levels = _kept
+    return levels if kept_depth == depth and kept_root == root else None
+
+
+def _keep(root: Digest, depth: int, bottom: int, seen: list) -> None:
+    """Copy what a fold from level ``bottom`` that reproduced ``root`` saw into the record, the top level first.
+
+    A record of another (root, depth) is replaced by a new one of all-unseen
+    levels. Written top down, one pair of children at a time under a parent
+    already held, the nodes held stay closed under sibling and parent after
+    every write, so a verify that reads the record between two writes still
+    reads only digests a fold vouched for.
+    """
+    global _kept
+    levels = _kept_levels(root, depth)
+    if levels is None:
+        levels = [bytearray(DIGEST_SIZE << (depth - t)) for t in range(bottom, depth)] + [bytes(root)]
+        _kept = (bytes(root), depth, levels)
+    pair = 2 * DIGEST_SIZE
+    for level, (parents, pairs) in reversed(list(zip(levels, seen))):
+        view = memoryview(level)  # a slice assignment through it takes under half the bytearray's time
+        for parent, preimage in zip(parents, pairs):
+            view[parent * pair : (parent + 1) * pair] = preimage[1:]
 
 
 def _is_power_of_two(value) -> bool:

@@ -382,7 +382,54 @@ MUTANTS = (
         "merkle.py",
         "if available - cursor != levels_left:",
         "if False:",
-        ("tests/test_merkle.py::TestSingleProof::test_wrong_proof_length_is_false_not_raise",),
+        (
+            "tests/test_merkle.py::TestSingleProof::test_wrong_proof_length_is_false_not_raise",
+            "tests/test_merkle.py::TestSingleProof::test_wrong_proof_length_is_false_not_raise_when_warm",
+        ),
+    ),
+    Mutant(
+        "the record is written before the root check",
+        "merkle.py",
+        "    if folded is None or folded[1][0] != root:\n        return False\n"
+        "    _keep(root, depth, bottom, seen)\n    return True\n",
+        "    if folded is None:\n        return False\n"
+        "    _keep(root, depth, bottom, seen)\n    return folded[1][0] == root\n",
+        ("tests/test_merkle.py::TestKeptLevels::test_forged_proofs_leave_the_record_unwritten",),
+    ),
+    Mutant(
+        "a failed fold still writes",
+        "merkle.py",
+        "    if folded is None or folded[1][0] != root:\n        return False\n    _keep(root, depth, bottom, seen)\n",
+        "    _keep(root, depth, bottom, seen)\n    if folded is None or folded[1][0] != root:\n        return False\n",
+        ("tests/test_merkle.py::TestKeptLevels::test_forged_proofs_leave_the_record_unwritten",),
+    ),
+    Mutant(
+        "the record is keyed by the root alone",
+        "merkle.py",
+        "return levels if kept_depth == depth and kept_root == root else None",
+        "return levels if kept_root == root else None",
+        ("tests/test_merkle.py::TestKeptLevels::test_record_is_keyed_by_root_and_depth",),
+    ),
+    Mutant(
+        "a warm verify skips the rest-of-proof comparison",
+        "merkle.py",
+        "return list(proof[cursor:]) == _prove(kept, positions)",
+        "return True",
+        ("tests/test_tree.py::TestVerify::test_one_digest_replaced_after_every_leaf_was_verified_is_invalid",),
+    ),
+    Mutant(
+        "a warm verify takes any frontier",
+        "merkle.py",
+        "if [level[pos * DIGEST_SIZE : (pos + 1) * DIGEST_SIZE] for pos in positions] == list(nodes):",
+        "if True:",
+        ("tests/test_merkle.py::TestKeptLevels::test_a_warm_verify_refuses_a_changed_leaf",),
+    ),
+    Mutant(
+        "an unseen node reads as a zero digest",
+        "merkle.py",
+        "if kept is not None and _UNSEEN not in nodes:",
+        "if kept is not None:",
+        ("tests/test_merkle.py::TestKeptLevels::test_an_unseen_node_is_not_taken_for_a_zero_digest",),
     ),
     Mutant(
         "optimal_bit_count lets a float overflow out as OverflowError",

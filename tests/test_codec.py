@@ -377,10 +377,10 @@ def test_truncation_names_the_field_it_cuts(blob, cuts):
 
 
 @st.composite
-def committed_filters(draw):
+def committed_filters(draw, depths=st.integers(min_value=0, max_value=6)):
     """A built tree over 0-40 inserted elements, and the elements."""
     chunk_size = draw(st.sampled_from((1, 8, 32)))
-    depth = draw(st.integers(min_value=0, max_value=6))
+    depth = draw(depths)
     k = draw(st.integers(min_value=1, max_value=20))
     params = BloomParams(m=chunk_size * 8 << depth, k=k, chunk_size=chunk_size)
     inserted = draw(st.lists(st.binary(min_size=1, max_size=12), max_size=40, unique=True))
@@ -407,6 +407,58 @@ def member_or_fresh(data, inserted):
     return data.draw(st.one_of(st.sampled_from(inserted), fresh) if inserted else fresh)
 
 
+def reencoded_tampers(data, bloom_tree, proof):
+    """Proof files that re-encode the honest proof whole.
+
+    A bit flip never changes the proof kind or the byte layout. These do:
+    its chunk indices swapped or shifted, the proof re-framed as the other
+    kind, or one echoed param changed.
+    """
+    params = bloom_tree.filter.params
+    if isinstance(proof, PresenceProof):
+        chunk_indices = list(proof.chunk_indices)
+        first = chunk_indices[0]
+        shift = 1 if first == 0 else data.draw(st.sampled_from((-1, 1)))
+        tampered = [
+            PresenceProof(tuple(c + shift for c in chunk_indices), proof.chunks, proof.multiproof),
+            AbsenceProof(first, proof.chunks[0], tuple(prove_multi(bloom_tree.tree, [first]))),
+        ]
+        if len(chunk_indices) > 1:
+            positions = st.sampled_from(range(len(chunk_indices)))
+            i, j = data.draw(st.lists(positions, min_size=2, max_size=2, unique=True))
+            chunk_indices[i], chunk_indices[j] = chunk_indices[j], chunk_indices[i]
+            tampered.append(PresenceProof(tuple(chunk_indices), proof.chunks, proof.multiproof))
+    else:
+        shift = 1 if proof.chunk_index == 0 else data.draw(st.sampled_from((-1, 1)))
+        tampered = [
+            AbsenceProof(proof.chunk_index + shift, proof.chunk, proof.path),
+            PresenceProof((proof.chunk_index,), (proof.chunk,), proof.path),
+        ]
+    blobs = [codec.encode_proof(params, forged) for forged in tampered]
+
+    # the echoed params, m u64 | k u32 | chunk_size u32, follow the magic, version and kind
+    honest = bytearray(codec.encode_proof(params, proof))
+    echoed = [params.m, params.k, params.chunk_size]
+    field = data.draw(st.integers(min_value=0, max_value=2))
+    value = echoed[field]
+    echoed[field] = data.draw(st.sampled_from((value // 2, value - 1, value + 1, value * 2)))
+    struct.pack_into("<QII", honest, len(codec.PROOF_MAGIC) + 2, *echoed)
+    blobs.append(bytes(honest))
+    return blobs
+
+
+def byte_tampers(data, honest):
+    """The honest proof file with a byte appended, with each of up to 12 bits flipped, and cut short."""
+    flips = data.draw(st.lists(st.integers(min_value=0, max_value=8 * len(honest) - 1), max_size=12))
+    cuts = data.draw(st.lists(st.integers(min_value=0, max_value=len(honest) - 1), max_size=6))
+    tampered = [honest + bytes([data.draw(st.integers(min_value=0, max_value=255))])]
+    for bit in flips:
+        blob = bytearray(honest)
+        blob[bit >> 3] ^= 1 << (bit & 7)
+        tampered.append(bytes(blob))
+    return tampered + [honest[:length] for length in cuts]
+
+
 class TestVerdictsOnProofBytes:
     @settings(max_examples=150, deadline=None)
     @given(committed=committed_filters(), data=st.data())
@@ -419,62 +471,42 @@ class TestVerdictsOnProofBytes:
         expected = spec.MAYBE_PRESENT if present else spec.DEFINITELY_ABSENT
         assert spec.spec_verdict(bloom_tree.root, params.m, params.k, params.chunk_size, element, honest) == expected
 
-        flips = data.draw(st.lists(st.integers(min_value=0, max_value=8 * len(honest) - 1), max_size=12))
-        cuts = data.draw(st.lists(st.integers(min_value=0, max_value=len(honest) - 1), max_size=6))
-        tampered = [honest + bytes([data.draw(st.integers(min_value=0, max_value=255))])]
-        for bit in flips:
-            blob = bytearray(honest)
-            blob[bit >> 3] ^= 1 << (bit & 7)
-            tampered.append(bytes(blob))
-        tampered += [honest[:length] for length in cuts]
-        assert_spec_verdicts(bloom_tree, element, [honest, *tampered])
+        assert_spec_verdicts(bloom_tree, element, [honest, *byte_tampers(data, honest)])
 
     @settings(max_examples=150, deadline=None)
     @given(committed=committed_filters(), data=st.data())
     def test_reencoded_proofs_get_the_spec_verdict(self, committed, data):
-        # A bit flip never changes the proof kind or the byte layout. These
-        # re-encode the honest proof whole: its chunk indices swapped or
-        # shifted, the proof re-framed as the other kind, or one echoed param
-        # changed. The verdict is still taken under the trusted params.
+        # The verdict on a re-encoded proof is still taken under the trusted params.
         bloom_tree, inserted = committed
         params = bloom_tree.filter.params
         element = member_or_fresh(data, inserted)
         proof = prove(bloom_tree, element)
-        if isinstance(proof, PresenceProof):
-            chunk_indices = list(proof.chunk_indices)
-            first = chunk_indices[0]
-            shift = 1 if first == 0 else data.draw(st.sampled_from((-1, 1)))
-            tampered = [
-                PresenceProof(tuple(c + shift for c in chunk_indices), proof.chunks, proof.multiproof),
-                AbsenceProof(first, proof.chunks[0], tuple(prove_multi(bloom_tree.tree, [first]))),
-            ]
-            if len(chunk_indices) > 1:
-                positions = st.sampled_from(range(len(chunk_indices)))
-                i, j = data.draw(st.lists(positions, min_size=2, max_size=2, unique=True))
-                chunk_indices[i], chunk_indices[j] = chunk_indices[j], chunk_indices[i]
-                tampered.append(PresenceProof(tuple(chunk_indices), proof.chunks, proof.multiproof))
-        else:
-            shift = 1 if proof.chunk_index == 0 else data.draw(st.sampled_from((-1, 1)))
-            tampered = [
-                AbsenceProof(proof.chunk_index + shift, proof.chunk, proof.path),
-                PresenceProof((proof.chunk_index,), (proof.chunk,), proof.path),
-            ]
-        blobs = [codec.encode_proof(params, forged) for forged in tampered]
-
-        # the echoed params, m u64 | k u32 | chunk_size u32, follow the magic, version and kind
-        honest = bytearray(codec.encode_proof(params, proof))
-        echoed = [params.m, params.k, params.chunk_size]
-        field = data.draw(st.integers(min_value=0, max_value=2))
-        value = echoed[field]
-        echoed[field] = data.draw(st.sampled_from((value // 2, value - 1, value + 1, value * 2)))
-        struct.pack_into("<QII", honest, len(codec.PROOF_MAGIC) + 2, *echoed)
-        blobs.append(bytes(honest))
-        assert_spec_verdicts(bloom_tree, element, blobs)
+        assert_spec_verdicts(bloom_tree, element, reencoded_tampers(data, bloom_tree, proof))
 
         root = bytearray(bloom_tree.root)
         bit = data.draw(st.integers(min_value=0, max_value=8 * len(root) - 1))
         root[bit >> 3] ^= 1 << (bit & 7)
         assert verify(bytes(root), params, element, proof).kind is VerdictKind.INVALID
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_verdicts_do_not_depend_on_what_was_verified_before(self, data):
+        # One process keeps the top levels of the tree it verified last. It
+        # verifies honest and tampered proofs of two trees of one depth and a
+        # third of another, in a drawn order; depth 13 keeps all but its leaves.
+        depths = data.draw(st.lists(st.sampled_from((0, 2, 6, 13)), min_size=2, max_size=2, unique=True))
+        queries = []
+        for depth in (depths[0], depths[0], depths[1]):
+            bloom_tree, inserted = data.draw(committed_filters(st.just(depth)))
+            for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+                element = member_or_fresh(data, inserted)
+                proof = prove(bloom_tree, element)
+                honest = codec.encode_proof(bloom_tree.filter.params, proof)
+                blobs = [honest, honest, *byte_tampers(data, honest), *reencoded_tampers(data, bloom_tree, proof)]
+                queries += [(bloom_tree, element, blob) for blob in blobs]
+        for bloom_tree, element, blob in data.draw(st.permutations(queries)):
+            assert_spec_verdicts(bloom_tree, element, [blob])
 
 
 class TestFuzz:

@@ -1,6 +1,8 @@
 import array
 import itertools
 import random
+import sys
+import threading
 import tracemalloc
 import types
 
@@ -36,6 +38,11 @@ def entries_for(leaves, subset):
 def node(tree: MerkleTree, level: int, index: int) -> bytes:
     """Node ``index`` of level ``level``, at bytes [32 * index, 32 * index + 32) of that level."""
     return tree.levels[level][32 * index : 32 * index + 32]
+
+
+def no_hashing():
+    """A stand-in for the hashlib module that fails the test if a node is hashed."""
+    return types.SimpleNamespace(sha256=lambda _: pytest.fail("hashed a node"))
 
 
 def flip_byte(digest: bytes, offset: int = 0) -> bytes:
@@ -191,6 +198,19 @@ class TestSingleProof:
         monkeypatch.setattr(merkle, "hashlib", types.SimpleNamespace(sha256=lambda _: pytest.fail("hashed a node")))
         assert not verify_multi(tree.root, entries, 4, proof[:1])
         assert not verify_multi(tree.root, entries, 4, proof + [bytes(32)])
+
+    @pytest.mark.parametrize("count", [4, 1 << 14])
+    def test_wrong_proof_length_is_false_not_raise_when_warm(self, count, monkeypatch):
+        # after an honest verify has kept the tree's top levels, a path of the
+        # wrong length is still refused before any node is hashed
+        leaves = leaves_for(count)
+        tree = build_tree(leaves)
+        proof = prove_multi(tree, [1])
+        entries = [(1, leaves[1])]
+        assert verify_multi(tree.root, entries, count, proof)
+        monkeypatch.setattr(merkle, "hashlib", no_hashing())
+        assert not verify_multi(tree.root, entries, count, proof[:-1])
+        assert not verify_multi(tree.root, entries, count, proof + [bytes(32)])
 
     def test_garbage_inputs_are_false(self):
         leaves = leaves_for(4)
@@ -398,3 +418,134 @@ class TestMultiProof:
         subset = sorted(data.draw(st.sets(st.integers(0, count - 1), min_size=1)))
         proof = prove_multi(tree, subset)
         assert verify_multi(tree.root, entries_for(leaves, subset), count, proof)
+
+
+class TestKeptLevels:
+    """The top levels of the tree verified last, which _verify_leaves keeps and reads instead of hashing."""
+
+    @pytest.fixture(autouse=True)
+    def no_record(self, monkeypatch):
+        monkeypatch.setattr(merkle, "_kept", (None, -1, None))
+
+    def test_a_warm_verify_within_the_kept_levels_hashes_nothing(self, monkeypatch):
+        leaves = leaves_for(16, seed=40)
+        tree = build_tree(leaves)
+        for i in range(16):
+            assert verify_multi(tree.root, [(i, leaves[i])], 16, prove_multi(tree, [i]))
+        monkeypatch.setattr(merkle, "hashlib", no_hashing())
+        for subset in ([3], [0, 9], list(range(16))):
+            assert verify_multi(tree.root, entries_for(leaves, subset), 16, prove_multi(tree, subset))
+
+    def test_a_warm_verify_refuses_a_changed_leaf(self):
+        leaves = leaves_for(16, seed=48)
+        tree = build_tree(leaves)
+        assert verify_multi(tree.root, entries_for(leaves, range(16)), 16, [])
+        for subset in ([3], [0, 9]):
+            proof = prove_multi(tree, subset)
+            for victim in subset:
+                entries = [(i, flip_byte(leaves[i]) if i == victim else leaves[i]) for i in subset]
+                assert not verify_multi(tree.root, entries, 16, proof)
+
+    @pytest.mark.parametrize("subset", [[5], [2, 5]])
+    def test_record_is_keyed_by_root_and_depth(self, subset):
+        # The same root and proof at half the leaf count: the kept levels of
+        # the 16-leaf tree must not vouch for a fold over 8 leaves.
+        leaves = leaves_for(16, seed=41)
+        tree = build_tree(leaves)
+        entries = entries_for(leaves, subset)
+        proof = prove_multi(tree, subset)
+        assert not verify_multi(tree.root, entries, 8, proof)  # cold
+        assert verify_multi(tree.root, entries, 16, proof)
+        assert not verify_multi(tree.root, entries, 8, proof)  # warm
+
+    def test_forged_proofs_leave_the_record_unwritten(self):
+        leaves = leaves_for(16, seed=42)
+        tree = build_tree(leaves)
+        rng = random.Random(43)
+        for subset in ([3], [0, 9], [1, 2, 7, 12]):
+            entries = entries_for(leaves, subset)
+            proof = prove_multi(tree, subset)
+            forged = [(entries, proof[:-1]), (entries, proof + [bytes(32)])]
+            for position in range(len(proof)):
+                flipped = list(proof)
+                flipped[position] = flip_byte(flipped[position], rng.randrange(32))
+                forged.append((entries, flipped))
+            victim = rng.randrange(len(entries))
+            changed = list(entries)
+            changed[victim] = (entries[victim][0], flip_byte(entries[victim][1]))
+            forged.append((changed, proof))
+            for forged_entries, forged_proof in forged:
+                assert not verify_multi(tree.root, forged_entries, 16, forged_proof)
+                assert merkle._kept_levels(tree.root, 4) is None
+        assert verify_multi(tree.root, entries_for(leaves, [3]), 16, prove_multi(tree, [3]))
+        assert merkle._kept_levels(tree.root, 4) is not None
+
+    def test_an_unseen_node_is_not_taken_for_a_zero_digest(self):
+        # Unseen nodes are zero bytes in the record. Leaf 7, its sibling and
+        # its parent's sibling are unseen after leaf 0 is verified; the
+        # grandparent's sibling is on leaf 0's path.
+        leaves = leaves_for(8, seed=44)
+        tree = build_tree(leaves)
+        assert verify_multi(tree.root, [(0, leaves[0])], 8, prove_multi(tree, [0]))
+        forged = [bytes(32), bytes(32), node(tree, 2, 0)]
+        assert not verify_multi(tree.root, [(7, bytes(32))], 8, forged)
+        assert not verify_multi(tree.root, [(6, bytes(32)), (7, bytes(32))], 8, forged[1:])
+
+    def test_three_deep_trees_keep_one_record(self):
+        # A depth-14 tree keeps its top 13 levels: 2**13 - 1 digests, 262,112 bytes.
+        count = 1 << 14
+        trees = []
+        for seed in (45, 46, 47):
+            leaves = leaves_for(count, seed=seed)
+            trees.append((leaves, build_tree(leaves)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for leaves, tree in trees:
+                for i in (0, 5000, count - 1):
+                    assert verify_multi(tree.root, [(i, leaves[i])], count, prove_multi(tree, [i]))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert merkle._kept_levels(trees[-1][1].root, 14) is not None
+        assert retained < 300 * 1024
+
+    def test_threads_sharing_the_record_get_the_cold_verdicts(self):
+        # Four threads, more than the cores, switching as often as the
+        # interpreter allows, verify honest and forged proofs of three trees,
+        # so the record is replaced and written under readers.
+        cases = []
+        for count, seed in ((16, 49), (16, 50), (32, 51)):
+            leaves = leaves_for(count, seed=seed)
+            tree = build_tree(leaves)
+            for subset in ([1], [4, 11], [0, 5, 6, 13]):
+                entries = entries_for(leaves, subset)
+                proof = prove_multi(tree, subset)
+                cases.append((tree.root, entries, count, proof, True))
+                for position in range(len(proof)):
+                    forged = list(proof)
+                    forged[position] = flip_byte(forged[position])
+                    cases.append((tree.root, entries, count, forged, False))
+        failures = []
+        finished = []
+
+        def run(seed):
+            order = random.Random(seed).sample(cases, len(cases))
+            for _ in range(20):
+                for root, entries, count, proof, expected in order:
+                    if verify_multi(root, entries, count, proof) is not expected:
+                        failures.append((entries, proof, expected))
+            finished.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(finished) == [0, 1, 2, 3]
+        assert not failures

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spec
-from bloomtree import codec
+from bloomtree import codec, merkle
 from bloomtree.bloom import BloomFilter, BloomParams, indices
-from bloomtree.merkle import build_tree, prove_multi
+from bloomtree.merkle import build_tree, prove_multi, verify_multi
 from bloomtree.tree import (
     AbsenceProof,
     BloomTree,
@@ -25,6 +25,7 @@ from bloomtree.tree import (
 # Matching 32-byte-chunk geometry used throughout: 256 bits per chunk.
 PARAMS_32 = BloomParams(m=131072, k=9, chunk_size=32)
 SMALL = BloomParams(m=512, k=5, chunk_size=8)  # 8 chunks of 64 bits
+DEEP = BloomParams(m=8 << 14, k=5, chunk_size=1)  # 2**14 chunks: merkle keeps all but the bottom two levels
 
 # Computed once with a standalone SHA-256 tool over 0x00 || LE64(index) || chunk.
 LEAF_GOLDEN_3 = "55582a711412846389df2d591343bc3955ed64ca33c2f7a0d3b47204586e2299"
@@ -456,6 +457,32 @@ class TestVerify:
             mutated[position] = bytes(corrupted)
             tampered = PresenceProof(proof.chunk_indices, proof.chunks, tuple(mutated))
             assert verify(bloom_tree.root, params, element, tampered).kind is VerdictKind.INVALID
+
+    @pytest.mark.parametrize("params", [SMALL, DEEP], ids=["depth-3", "depth-14"])
+    def test_one_digest_replaced_after_every_leaf_was_verified_is_invalid(self, params, monkeypatch):
+        # Once every leaf has been verified, merkle keeps the tree's top levels
+        # whole, so each proof below meets a warm record. Each of its digests
+        # replaced by another of its digests, or by the zero bytes that mark
+        # an unseen node there, is still refused with the cold fold's reason.
+        monkeypatch.setattr(merkle, "_kept", (None, -1, None))
+        bloom_tree, inserted, rng = populated_tree(params, seed=27)
+        tree = bloom_tree.tree
+        leaves = [(i, tree.levels[0][32 * i : 32 * i + 32]) for i in range(tree.leaf_count)]
+        assert verify_multi(tree.root, leaves, tree.leaf_count, [])
+        cases = [
+            (inserted[0], "multiproof", "multiproof does not reconstruct the root"),
+            (absent_element(bloom_tree, rng), "path", "path does not reconstruct the root"),
+        ]
+        for element, field, reason in cases:
+            honest = prove(bloom_tree, element)
+            digests = getattr(honest, field)
+            assert verify(bloom_tree.root, params, element, honest).is_valid
+            for position, digest in enumerate(digests):
+                for other in [d for d in (*digests, bytes(32)) if d != digest]:
+                    tampered = list(digests)
+                    tampered[position] = other
+                    verdict = verify(bloom_tree.root, params, element, replaced(honest, **{field: tuple(tampered)}))
+                    assert (verdict.kind, verdict.reason) == (VerdictKind.INVALID, reason), (field, position)
 
     def test_wrong_root_is_invalid(self):
         bloom_tree, inserted, _ = populated_tree(seed=17)
