@@ -8,6 +8,7 @@ contents with --element-file); the library itself accepts arbitrary bytes.
 """
 
 import argparse
+import os
 import sys
 
 from . import codec
@@ -60,7 +61,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output filter file")
     p.set_defaults(handler=_cmd_build)
 
-    p = sub.add_parser("prove", help="write a presence or absence proof for one element")
+    p = sub.add_parser(
+        "prove",
+        help="write a presence or absence proof for one element",
+        description="Write a presence or absence proof for one element. The filter's tree is kept in FILTER.levels "
+        "(twice the filter's size, safe to delete) so the next prove need not re-hash it; each proof is checked "
+        "against the filter's stored root before it is written, though a hand-made FILTER.levels can hide "
+        "corruption in chunks the proof does not read.",
+    )
     p.add_argument("--filter", required=True, help="filter file")
     _add_element_flags(p)
     p.add_argument("--out", required=True, help="output proof file")
@@ -142,12 +150,58 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_prove(args) -> int:
-    bloom_tree = _load_filter(args.filter)
-    proof = prove(bloom_tree, _element_bytes(args))
+    with open(args.filter, "rb") as handle:
+        data = handle.read()
+    levels_path = args.filter + ".levels"
+    bloom_tree = codec._with_levels(data, _read_levels(levels_path, 64 * len(data)))
+    kept = bloom_tree is not None
+    if not kept:
+        bloom_tree = _decode_and_keep(data, levels_path)
+    element = _element_bytes(args)
+    proof = prove(bloom_tree, element)
+    # Kept levels are vouched for by one thing: the proof read from them verifies against the stored root.
+    if kept and not verify(bloom_tree.root, bloom_tree.filter.params, element, proof).is_valid:
+        bloom_tree = _decode_and_keep(data, levels_path)
+        proof = prove(bloom_tree, element)
     with open(args.out, "wb") as handle:
         handle.write(codec.encode_proof(bloom_tree.filter.params, proof))
     print("absence" if isinstance(proof, AbsenceProof) else "presence")
     return EXIT_OK
+
+
+def _read_levels(path: str, limit: int) -> bytes:
+    """The levels file, cut one byte past its stated size or past ``limit``; no bytes if it cannot be read.
+
+    A filter file's levels file is shorter than 64 bytes per byte of it, so
+    a file cut at 64 times that reads as the wrong length, a miss. The read
+    asks for the stated size, as a read of ``limit`` bytes would allocate
+    them all first.
+    """
+    try:
+        with open(path, "rb") as handle:
+            return handle.read(min(os.fstat(handle.fileno()).st_size, limit) + 1)
+    except OSError:
+        return b""
+
+
+def _decode_and_keep(data: bytes, levels_path: str) -> BloomTree:
+    """decode_filter, then its levels written to ``levels_path`` through a temp file; a failed write is no error."""
+    bloom_tree = codec.decode_filter(data)
+    temp = f"{levels_path}.{os.getpid()}.tmp"
+    try:
+        handle = open(temp, "xb")
+    except OSError:
+        return bloom_tree  # not writable here, or a file of that name this process did not make
+    try:
+        with handle:
+            handle.writelines(codec._levels_file(data, bloom_tree))
+        os.replace(temp, levels_path)
+    except OSError:
+        try:
+            os.remove(temp)
+        except OSError:
+            pass
+    return bloom_tree
 
 
 def _cmd_verify(args) -> int:

@@ -529,6 +529,40 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "a levels file is taken without comparing its key with the filter's SHA-256",
+        "codec.py",
+        "if levels_file[:at] != _levels_head(data):",
+        "if levels_file[:at - DIGEST_SIZE] != _levels_head(data)[:-DIGEST_SIZE]:",
+        ("tests/test_cli.py::TestLevelsFile::test_a_changed_filter_is_refused_as_before",),
+    ),
+    Mutant(
+        "a levels file is taken whatever its root",
+        "codec.py",
+        " or levels_file[-DIGEST_SIZE:] != root:",
+        ":",
+        ("tests/test_cli.py::TestLevelsFile::test_a_damaged_levels_file_gives_the_same_bytes[another tree]",),
+    ),
+    Mutant(
+        "prove skips the self-check of a proof read from kept levels",
+        "cli.py",
+        "if kept and not verify(",
+        "if False and not verify(",
+        (
+            "tests/test_cli.py::TestLevelsFile::test_a_wrong_digest_on_the_proof_path_is_repaired[alpha]",
+            "tests/test_cli.py::TestLevelsFile::test_a_wrong_digest_on_the_proof_path_is_repaired[zeta-is-not-here]",
+        ),
+    ),
+    Mutant(
+        "a failed self-check exits instead of rebuilding the tree",
+        "cli.py",
+        "        bloom_tree = _decode_and_keep(data, levels_path)\n        proof = prove(bloom_tree, element)",
+        '        raise codec.RootMismatch("the proof read from the kept levels does not verify")',
+        (
+            "tests/test_cli.py::TestLevelsFile::test_a_wrong_digest_on_the_proof_path_is_repaired[alpha]",
+            "tests/test_cli.py::TestLevelsFile::test_a_wrong_digest_on_the_proof_path_is_repaired[zeta-is-not-here]",
+        ),
+    ),
+    Mutant(
         "the grid takes the upper median",
         "experiment.py",
         "statistics.median_low(",

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pathlib
 import struct
@@ -5,11 +6,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bloomtree import codec
 from bloomtree.bloom import BloomFilter, derive_params
 from bloomtree.cli import main
-from bloomtree.tree import build
+from bloomtree.tree import AbsenceProof, build, prove
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
@@ -240,6 +243,131 @@ class TestProveVerify:
         assert "params" in capsys.readouterr().out
 
 
+def library_proof(filter_path, element: bytes) -> bytes:
+    """The bytes the library proves for ``element`` from the filter file, through decode_filter."""
+    bloom_tree = codec.decode_filter(filter_path.read_bytes())
+    return codec.encode_proof(bloom_tree.filter.params, prove(bloom_tree, element))
+
+
+def prove_file(directory, filter_path, element: bytes):
+    """Run prove on ``element`` in process; returns its exit code and the proof bytes, or None if none was written."""
+    element_path = directory / "element"
+    element_path.write_bytes(element)
+    proof_path = directory / "out.proof"
+    proof_path.unlink(missing_ok=True)
+    code = run_cli("prove", "--filter", str(filter_path), "--element-file", str(element_path), "--out", str(proof_path))
+    return code, proof_path.read_bytes() if proof_path.exists() else None
+
+
+def unread_chunk(filter_path, element: bytes) -> int:
+    """The lowest chunk the element's proof does not read."""
+    _, proof = codec.decode_proof(library_proof(filter_path, element))
+    read = {proof.chunk_index} if isinstance(proof, AbsenceProof) else set(proof.chunk_indices)
+    return next(chunk for chunk in range(len(read) + 1) if chunk not in read)
+
+
+def flip_chunk_bit(filter_bytes: bytes, chunk: int) -> bytes:
+    """The filter file with bit 0 of the chunk flipped (8-byte chunks) and the stored root left as it is."""
+    blob = bytearray(filter_bytes)
+    blob[codec._FILTER_HEAD.size + 8 * chunk] ^= 0x01
+    return bytes(blob)
+
+
+def temp_files(directory) -> list[str]:
+    return [path.name for path in directory.iterdir() if path.name.endswith(".tmp")]
+
+
+class TestLevelsFile:
+    """prove keeps the tree's levels in FILTER.levels and reuses them, writing the same bytes."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        inserted=st.lists(st.binary(max_size=6), min_size=1, max_size=40, unique=True),
+        chunk_size=st.sampled_from([1, 8, 32, 256]),
+        pick=st.integers(min_value=0),
+        outsider=st.binary(min_size=7, max_size=9),
+    )
+    def test_the_first_and_later_proves_write_the_library_bytes(self, tmp_path_factory, inserted, chunk_size, pick, outsider):
+        directory = tmp_path_factory.mktemp("levels")
+        filt = BloomFilter(derive_params(len(inserted), 0.05, chunk_size))
+        for element in inserted:
+            filt.insert(element)
+        filter_path = directory / "filter.blt"
+        filter_path.write_bytes(codec.encode_filter(build(filt)))
+        member = inserted[pick % len(inserted)]
+        for element in (member, member, outsider):  # a miss, then two proves from the levels file
+            assert prove_file(directory, filter_path, element) == (0, library_proof(filter_path, element))
+        assert (directory / "filter.blt.levels").exists()
+        assert temp_files(directory) == []
+
+    def test_a_second_prove_does_not_build(self, tmp_path, filter_file, monkeypatch):
+        want = library_proof(filter_file, b"beta")
+        builds = []
+        monkeypatch.setattr(codec, "build", lambda filt: builds.append(filt) or build(filt))
+        prove_file(tmp_path, filter_file, b"alpha")
+        assert len(builds) == 1
+        assert prove_file(tmp_path, filter_file, b"beta") == (0, want)
+        assert len(builds) == 1
+
+    def test_the_levels_file_holds_the_key_and_every_level(self, tmp_path, filter_file):
+        prove_file(tmp_path, filter_file, b"alpha")
+        data = filter_file.read_bytes()
+        levels = codec.decode_filter(data).tree.levels
+        kept = (tmp_path / "filter.blt.levels").read_bytes()
+        assert kept == b"BLLV" + bytes([codec.VERSION]) + hashlib.sha256(data).digest() + b"".join(levels)
+
+    def test_a_changed_filter_is_refused_as_before(self, tmp_path, filter_file, capsys):
+        # A bit flipped in a chunk beta's proof does not read, the stored root left as it is:
+        # only the levels file's key can tell, and the full rebuild then refuses the file.
+        prove_file(tmp_path, filter_file, b"alpha")
+        filter_file.write_bytes(flip_chunk_bit(filter_file.read_bytes(), unread_chunk(filter_file, b"beta")))
+        capsys.readouterr()
+        assert prove_file(tmp_path, filter_file, b"beta") == (3, None)
+        assert "stored root does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("element", [b"alpha", b"zeta-is-not-here"])
+    def test_a_wrong_digest_on_the_proof_path_is_repaired(self, tmp_path, filter_file, element):
+        prove_file(tmp_path, filter_file, element)
+        levels_path = tmp_path / "filter.blt.levels"
+        honest = levels_path.read_bytes()
+        _, proof = codec.decode_proof(library_proof(filter_file, element))
+        digests = proof.path if isinstance(proof, AbsenceProof) else proof.multiproof
+        at = honest.index(digests[0], 37)
+        forged = bytearray(honest)
+        forged[at] ^= 0x01
+        levels_path.write_bytes(bytes(forged))
+        assert prove_file(tmp_path, filter_file, element) == (0, library_proof(filter_file, element))
+        assert levels_path.read_bytes() == honest
+        assert temp_files(tmp_path) == []
+
+    @pytest.mark.parametrize("damage", ["truncated", "extended", "garbage", "wrong version", "another tree", "directory"])
+    def test_a_damaged_levels_file_gives_the_same_bytes(self, tmp_path, filter_file, damage):
+        prove_file(tmp_path, filter_file, b"alpha")
+        levels_path = tmp_path / "filter.blt.levels"
+        honest = levels_path.read_bytes()
+        if damage == "directory":
+            levels_path.unlink()
+            levels_path.mkdir()
+        else:
+            # another tree: the whole tree of this filter with a chunk alpha's proof does not read
+            # changed, under this filter's key; alpha's proof verifies against its root, not the stored one
+            changed = flip_chunk_bit(filter_file.read_bytes(), unread_chunk(filter_file, b"alpha"))
+            params, bits, _ = codec._filter_fields(changed)
+            other = build(BloomFilter(params, bits))
+            damaged = {
+                "truncated": honest[:-1],
+                "extended": honest + bytes(1),
+                "garbage": bytes(range(256)) * (len(honest) // 256) + bytes(len(honest) % 256),
+                "wrong version": honest[:4] + bytes([codec.VERSION + 1]) + honest[5:],
+                "another tree": honest[:37] + b"".join(other.tree.levels),
+            }[damage]
+            levels_path.write_bytes(damaged)
+        for element in (b"alpha", b"zeta-is-not-here"):
+            assert prove_file(tmp_path, filter_file, element) == (0, library_proof(filter_file, element))
+        assert levels_path.is_dir() if damage == "directory" else levels_path.read_bytes() == honest
+        assert temp_files(tmp_path) == []
+
+
 class TestExperiment:
     def test_writes_deterministic_csv(self, tmp_path, capsys):
         args = [
@@ -298,10 +426,11 @@ def test_verify_by_root_never_proves_an_inserted_element_absent(tmp_path, capsys
 def test_cli_import_leaves_the_experiment_module_unloaded():
     # -S: without site, whose .pth files may import typing themselves. dataclasses
     # and the inspect it imports cost a CLI process about a fifth of its start-up.
-    names = ("bloomtree.experiment", "typing", "dataclasses", "inspect")
+    # The levels file is written with os alone, not tempfile or shutil, which would import random.
+    names = ("bloomtree.experiment", "typing", "dataclasses", "inspect", "tempfile", "shutil", "random")
     code = f"import sys, bloomtree.cli; print([name in sys.modules for name in {names!r}])"
     result = run_python("-S", "-c", code)
-    assert (result.returncode, result.stdout) == (0, "[False, False, False, False]\n")
+    assert (result.returncode, result.stdout) == (0, f"{[False] * len(names)}\n")
 
 
 def test_runtime_imports_only_the_standard_library():
