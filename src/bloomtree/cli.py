@@ -152,15 +152,12 @@ def _cmd_build(args) -> int:
 def _cmd_prove(args) -> int:
     with open(args.filter, "rb") as handle:
         data = handle.read()
+    element = _element_bytes(args)
     levels_path = args.filter + ".levels"
     bloom_tree = codec._with_levels(data, _read_levels(levels_path, 64 * len(data)))
-    kept = bloom_tree is not None
-    if not kept:
-        bloom_tree = _decode_and_keep(data, levels_path)
-    element = _element_bytes(args)
-    proof = prove(bloom_tree, element)
+    proof = None if bloom_tree is None else prove(bloom_tree, element)
     # Kept levels are vouched for by one thing: the proof read from them verifies against the stored root.
-    if kept and not verify(bloom_tree.root, bloom_tree.filter.params, element, proof).is_valid:
+    if proof is None or not verify(bloom_tree.root, bloom_tree.filter.params, element, proof).is_valid:
         bloom_tree = _decode_and_keep(data, levels_path)
         proof = prove(bloom_tree, element)
     with open(args.out, "wb") as handle:

@@ -545,8 +545,8 @@ MUTANTS = (
     Mutant(
         "prove skips the self-check of a proof read from kept levels",
         "cli.py",
-        "if kept and not verify(",
-        "if False and not verify(",
+        "if proof is None or not verify(",
+        "if proof is None or False and not verify(",
         (
             "tests/test_cli.py::TestLevelsFile::test_a_wrong_digest_on_the_proof_path_is_repaired[alpha]",
             "tests/test_cli.py::TestLevelsFile::test_a_wrong_digest_on_the_proof_path_is_repaired[zeta-is-not-here]",
@@ -555,8 +555,10 @@ MUTANTS = (
     Mutant(
         "a failed self-check exits instead of rebuilding the tree",
         "cli.py",
-        "        bloom_tree = _decode_and_keep(data, levels_path)\n        proof = prove(bloom_tree, element)",
-        '        raise codec.RootMismatch("the proof read from the kept levels does not verify")',
+        "        bloom_tree = _decode_and_keep(data, levels_path)\n",
+        "        if proof is not None:\n"
+        '            raise codec.RootMismatch("the proof read from the kept levels does not verify")\n'
+        "        bloom_tree = _decode_and_keep(data, levels_path)\n",
         (
             "tests/test_cli.py::TestLevelsFile::test_a_wrong_digest_on_the_proof_path_is_repaired[alpha]",
             "tests/test_cli.py::TestLevelsFile::test_a_wrong_digest_on_the_proof_path_is_repaired[zeta-is-not-here]",

@@ -7,13 +7,56 @@ that), so a defect in the library cannot hide in a check that shares its code.
   little-endian u64s in bytes 0..8 and 8..16 of sha256(element), h2 forced
   odd; bit b is bit b % 8 of byte b // 8, least significant first
 - leaf = sha256(0x00 || chunk index u64le || chunk); node = sha256(0x01 || left || right)
-- proof file: as in the bloomtree.codec docstring
+- filter and proof files: as in the bloomtree.codec docstring, built by the v1
+  layout builders below
 """
 
 import hashlib
 import struct
 
 MAYBE_PRESENT, DEFINITELY_ABSENT, INVALID = "MaybePresent", "DefinitelyAbsent", "Invalid"
+
+# The v1 layout. Every other test module builds its filter and proof bytes
+# from these, so a version bump changes them here.
+VERSION = 1
+PRESENCE, ABSENCE = 1, 2  # the proof kinds
+_FILTER_HEAD = "<4sBQII"  # "BLTR" | version u8 | m u64 | k u32 | chunk_size u32
+_PROOF_HEAD = "<4sBBQII"  # "BLPF" | version u8 | kind u8 | m u64 | k u32 | chunk_size u32
+FILTER_HEADER = struct.calcsize(_FILTER_HEAD)  # 21 bytes, then the filter bytes and the root
+PROOF_HEADER = struct.calcsize(_PROOF_HEAD)  # 22 bytes, then the body
+
+
+def filter_header(m, k, chunk_size, version=VERSION):
+    return struct.pack(_FILTER_HEAD, b"BLTR", version, m, k, chunk_size)
+
+
+def proof_header(kind, m, k, chunk_size, version=VERSION):
+    return struct.pack(_PROOF_HEAD, b"BLPF", version, kind, m, k, chunk_size)
+
+
+def absence_body(chunk_index, chunk, digests=()):
+    """chunk_index u64 | chunk | digest count u16 | digests"""
+    return struct.pack("<Q", chunk_index) + chunk + _digests(digests)
+
+
+def presence_body(chunk_indices, chunks, digests=()):
+    """chunk count u16 | chunk indices u64 | chunks | digest count u16 | digests"""
+    count = len(chunk_indices)
+    return struct.pack(f"<H{count}Q", count, *chunk_indices) + b"".join(chunks) + _digests(digests)
+
+
+def _digests(digests):
+    return struct.pack("<H", len(digests)) + b"".join(digests)
+
+
+def absence_size(chunk_size, depth):
+    """An absence proof's length: its one chunk and a path of ``depth`` digests."""
+    return PROOF_HEADER + 8 + chunk_size + 2 + 32 * depth
+
+
+def presence_size(chunk_size, chunks, digests):
+    """A presence proof's length: ``chunks`` chunks with their indices and ``digests`` digests."""
+    return PROOF_HEADER + 2 + (8 + chunk_size) * chunks + 2 + 32 * digests
 
 
 def indices(element, m, k):
@@ -76,11 +119,12 @@ def parse_proof(blob):
     """(kind, [(chunk index, chunk)], digests) of a proof file, or None if it breaks the format."""
     blob = bytes(blob)
     try:
-        m, k, size = struct.unpack_from("<QII", blob, 6)
-        if blob[:5] != b"BLPF\x01" or blob[5] not in (1, 2):
+        magic, version, kind, m, k, size = struct.unpack_from(_PROOF_HEAD, blob)
+        if magic != b"BLPF" or version != VERSION or kind not in (PRESENCE, ABSENCE):
             return None
-        kind = blob[5]
-        count, at = (struct.unpack_from("<H", blob, 22)[0], 24) if kind == 1 else (1, 22)
+        count, at = (1, PROOF_HEADER)
+        if kind == PRESENCE:
+            count, at = struct.unpack_from("<H", blob, at)[0], at + 2
         chunk_indices = struct.unpack_from(f"<{count}Q", blob, at)
         at += 8 * count
         chunks = [blob[at + size * i : at + size * (i + 1)] for i in range(count)]
@@ -107,11 +151,11 @@ def spec_verdict(root, m, k, chunk_size, element, proof_bytes):
     chunks = dict(claimed)
     required = [i for i in positions if i // chunk_bits in chunks]
     zeros = [i for i in required if not chunks[i // chunk_bits][i // 8 % chunk_size] >> (i % 8) & 1]
-    if kind == 1:  # presence: exactly the element's chunks, and no required bit zero
+    if kind == PRESENCE:  # presence: exactly the element's chunks, and no required bit zero
         claims_hold = [c for c, _ in claimed] == chunk_set and not zeros
     else:  # absence: one of the element's chunks, with a required bit zero
         claims_hold = claimed[0][0] in chunk_set and bool(zeros)
     leaves = [(c, leaf(c, chunk)) for c, chunk in claimed]
     if not claims_hold or fold(leaves, (m // chunk_bits).bit_length() - 1, digests) != root:
         return INVALID
-    return MAYBE_PRESENT if kind == 1 else DEFINITELY_ABSENT
+    return MAYBE_PRESENT if kind == PRESENCE else DEFINITELY_ABSENT

@@ -107,8 +107,7 @@ def test_criterion_4_absence_size_law(default_grid):
         for row in rows:
             chunk_count = row.m_bits // (row.chunk_size * 8)
             depth = chunk_count.bit_length() - 1
-            digest_bytes = row.absence_proof_bytes - 22 - 8 - row.chunk_size - 2
-            assert digest_bytes == 32 * depth, row
+            assert row.absence_proof_bytes == spec.absence_size(row.chunk_size, depth), row
 
 
 def test_criterion_5_chunk_location_worked_example():

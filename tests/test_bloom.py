@@ -1,6 +1,5 @@
 import math
 import random
-import struct
 from fractions import Fraction
 
 import pytest
@@ -132,12 +131,11 @@ class TestParamsValidation:
             BloomParams(m=m, k=1, chunk_size=chunk_size)
         with pytest.raises(ValueError):
             derive_params(100, 0.01, chunk_size)
-        header = struct.pack("<QII", m, 1, chunk_size)
         with pytest.raises(codec.InvalidField):
-            codec.decode_filter(codec.FILTER_MAGIC + bytes([codec.VERSION]) + header + bytes(m // 8 + 32))
-        proof = struct.pack("<Q", 0) + bytes(chunk_size) + struct.pack("<H", 0)
+            codec.decode_filter(spec.filter_header(m, 1, chunk_size) + bytes(m // 8 + 32))
+        proof = spec.absence_body(0, bytes(chunk_size))
         with pytest.raises(codec.InvalidField):
-            codec.decode_proof(codec.PROOF_MAGIC + bytes([codec.VERSION, codec.ABSENCE_KIND]) + header + proof)
+            codec.decode_proof(spec.proof_header(spec.ABSENCE, m, 1, chunk_size) + proof)
 
     def test_rejects_non_power_of_two_chunk_count(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,6 @@
 import hashlib
 import os
 import pathlib
-import struct
 import subprocess
 import sys
 
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spec
 from bloomtree import codec
 from bloomtree.bloom import BloomFilter, derive_params
 from bloomtree.cli import main
@@ -224,13 +224,12 @@ class TestProveVerify:
     @pytest.mark.parametrize("chunk_size", [3, 24, 65535])
     def test_chunk_size_that_is_not_a_power_of_two_is_format_error(self, tmp_path, chunk_size):
         m = 1 << (chunk_size * 8 - 1).bit_length()
-        header = struct.pack("<QII", m, 1, chunk_size)
         bad_filter = tmp_path / "bad.blt"
-        bad_filter.write_bytes(codec.FILTER_MAGIC + bytes([codec.VERSION]) + header + bytes(m // 8 + 32))
+        bad_filter.write_bytes(spec.filter_header(m, 1, chunk_size) + bytes(m // 8 + 32))
         assert run_cli("root", "--filter", str(bad_filter)) == 3
         bad_proof = tmp_path / "bad.proof"
-        body = struct.pack("<Q", 0) + bytes(chunk_size) + struct.pack("<H", 0)
-        bad_proof.write_bytes(codec.PROOF_MAGIC + bytes([codec.VERSION, codec.ABSENCE_KIND]) + header + body)
+        body = spec.absence_body(0, bytes(chunk_size))
+        bad_proof.write_bytes(spec.proof_header(spec.ABSENCE, m, 1, chunk_size) + body)
         assert run_cli("verify", "--root", "00" * 32, "--element", "a", "--proof", str(bad_proof)) == 3
 
     def test_params_mismatch_between_proof_and_filter(self, tmp_path, filter_file, elements_file, capsys):
@@ -269,7 +268,7 @@ def unread_chunk(filter_path, element: bytes) -> int:
 def flip_chunk_bit(filter_bytes: bytes, chunk: int) -> bytes:
     """The filter file with bit 0 of the chunk flipped (8-byte chunks) and the stored root left as it is."""
     blob = bytearray(filter_bytes)
-    blob[codec._FILTER_HEAD.size + 8 * chunk] ^= 0x01
+    blob[spec.FILTER_HEADER + 8 * chunk] ^= 0x01
     return bytes(blob)
 
 
@@ -323,6 +322,22 @@ class TestLevelsFile:
         filter_file.write_bytes(flip_chunk_bit(filter_file.read_bytes(), unread_chunk(filter_file, b"beta")))
         capsys.readouterr()
         assert prove_file(tmp_path, filter_file, b"beta") == (3, None)
+        assert "stored root does not match" in capsys.readouterr().err
+
+    def test_root_and_verify_by_filter_do_not_read_the_levels_file(self, tmp_path, filter_file, capsys):
+        # A changed filter with its stored root left as it is, beside the levels file of the changed
+        # filter under its key: only a full rebuild of the filter refuses it.
+        proof = tmp_path / "alpha.proof"
+        run_cli("prove", "--filter", str(filter_file), "--element", "alpha", "--out", str(proof))
+        changed = flip_chunk_bit(filter_file.read_bytes(), unread_chunk(filter_file, b"alpha"))
+        filter_file.write_bytes(changed)
+        params, bits, _ = codec._filter_fields(changed)
+        levels_file = codec._levels_file(changed, build(BloomFilter(params, bits)))
+        (tmp_path / "filter.blt.levels").write_bytes(b"".join(levels_file))
+        capsys.readouterr()
+        assert run_cli("root", "--filter", str(filter_file)) == 3
+        assert "stored root does not match" in capsys.readouterr().err
+        assert run_cli("verify", "--filter", str(filter_file), "--element", "alpha", "--proof", str(proof)) == 3
         assert "stored root does not match" in capsys.readouterr().err
 
     @pytest.mark.parametrize("element", [b"alpha", b"zeta-is-not-here"])

@@ -1,5 +1,5 @@
+import functools
 import random
-import struct
 import time
 import tracemalloc
 
@@ -59,7 +59,7 @@ class TestFilterCodec:
 
     def test_total_length(self):
         blob = codec.encode_filter(golden_tree())
-        assert len(blob) == 21 + GOLDEN_PARAMS.byte_length + 32
+        assert len(blob) == spec.FILTER_HEADER + GOLDEN_PARAMS.byte_length + 32
 
     def test_round_trip_random_filters(self):
         rng = random.Random(40)
@@ -83,7 +83,7 @@ class TestFilterCodec:
 
     def test_unsupported_version(self):
         blob = bytearray(bytes.fromhex(GOLDEN_FILTER_HEX))
-        blob[4] = 0x02
+        blob[4] = spec.VERSION + 1
         with pytest.raises(codec.UnsupportedVersion):
             codec.decode_filter(bytes(blob))
 
@@ -100,7 +100,7 @@ class TestFilterCodec:
 
     def test_root_mismatch(self):
         blob = bytearray(bytes.fromhex(GOLDEN_FILTER_HEX))
-        blob[21] ^= 0x01  # flip a filter bit, keep the stored root
+        blob[spec.FILTER_HEADER] ^= 0x01  # flip a filter bit, keep the stored root
         with pytest.raises(codec.RootMismatch):
             codec.decode_filter(bytes(blob))
 
@@ -109,18 +109,17 @@ class TestFilterCodec:
         [(64, 0, 8), (64, 2, 0), (24, 1, 1), (8, 1, 32), (64, 2, 70000), (192, 1, 24)],
     )
     def test_invalid_params_field(self, m, k, chunk_size):
-        blob = codec.FILTER_MAGIC + bytes([codec.VERSION]) + struct.pack("<QII", m, k, chunk_size)
         with pytest.raises(codec.InvalidField):
-            codec.decode_filter(blob)
+            codec.decode_filter(spec.filter_header(m, k, chunk_size))
 
     def test_huge_k_is_rejected_quickly(self):
         # k = 2^32 - 1 would make every index list four billion entries long
-        header = struct.pack("<QII", 64, (1 << 32) - 1, 8)
+        k = (1 << 32) - 1
         started = time.monotonic()
         with pytest.raises(codec.InvalidField):
-            codec.decode_filter(codec.FILTER_MAGIC + bytes([codec.VERSION]) + header + GOLDEN_BITS + bytes(32))
+            codec.decode_filter(spec.filter_header(64, k, 8) + GOLDEN_BITS + bytes(32))
         with pytest.raises(codec.InvalidField):
-            codec.decode_proof(codec.PROOF_MAGIC + bytes([codec.VERSION, codec.ABSENCE_KIND]) + header)
+            codec.decode_proof(spec.proof_header(spec.ABSENCE, 64, k, 8))
         assert time.monotonic() - started < 1.0
 
     def test_error_taxonomy_is_distinguishable(self):
@@ -145,6 +144,27 @@ class TestProofCodec:
         assert params == GOLDEN_PARAMS
         assert decoded == proof
 
+    def test_the_spec_builds_the_golden_files(self):
+        m, k, chunk_size = GOLDEN_PARAMS.m, GOLDEN_PARAMS.k, GOLDEN_PARAMS.chunk_size
+        root = spec.filter_levels(GOLDEN_BITS, chunk_size)[-1][0]
+        assert (spec.filter_header(m, k, chunk_size) + GOLDEN_BITS + root).hex() == GOLDEN_FILTER_HEX
+        absence = spec.proof_header(spec.ABSENCE, m, k, chunk_size) + spec.absence_body(0, GOLDEN_BITS)
+        assert absence.hex() == GOLDEN_ABSENCE_HEX
+        assert len(absence) == spec.absence_size(chunk_size, 0)
+
+    def test_the_spec_builds_the_encoded_proofs(self):
+        params, proofs = sample_proofs(30, seed=48)
+        kinds = set()
+        for proof in proofs:
+            if isinstance(proof, AbsenceProof):
+                kind, body = spec.ABSENCE, spec.absence_body(proof.chunk_index, proof.chunk, proof.path)
+            else:
+                kind, body = spec.PRESENCE, spec.presence_body(proof.chunk_indices, proof.chunks, proof.multiproof)
+            kinds.add(kind)
+            header = spec.proof_header(kind, params.m, params.k, params.chunk_size)
+            assert header + body == codec.encode_proof(params, proof)
+        assert kinds == {spec.PRESENCE, spec.ABSENCE}
+
     def test_round_trip_generated_proofs(self):
         params, proofs = sample_proofs(80, seed=41)
         kinds = {type(p) for p in proofs}
@@ -161,15 +181,14 @@ class TestProofCodec:
         for proof in proofs:
             if isinstance(proof, AbsenceProof):
                 blob = codec.encode_proof(params, proof)
-                assert len(blob) == 22 + 8 + params.chunk_size + 2 + 32 * len(proof.path)
+                assert len(blob) == spec.absence_size(params.chunk_size, len(proof.path))
 
     def test_presence_size_formula(self):
         params, proofs = sample_proofs(30, seed=43)
         for proof in proofs:
             if isinstance(proof, PresenceProof):
                 blob = codec.encode_proof(params, proof)
-                c, h = len(proof.chunks), len(proof.multiproof)
-                assert len(blob) == 22 + 2 + 8 * c + params.chunk_size * c + 2 + 32 * h
+                assert len(blob) == spec.presence_size(params.chunk_size, len(proof.chunks), len(proof.multiproof))
 
     def test_unknown_kind(self):
         blob = bytearray(bytes.fromhex(GOLDEN_ABSENCE_HEX))
@@ -185,7 +204,7 @@ class TestProofCodec:
 
     def test_unsupported_version(self):
         blob = bytearray(bytes.fromhex(GOLDEN_ABSENCE_HEX))
-        blob[4] = 0x02
+        blob[4] = spec.VERSION + 1
         with pytest.raises(codec.UnsupportedVersion):
             codec.decode_proof(bytes(blob))
 
@@ -204,16 +223,14 @@ class TestProofCodec:
 
     def test_huge_counts_do_not_allocate(self):
         # count field says 65535 entries but the buffer ends immediately
-        header = codec.PROOF_MAGIC + bytes([codec.VERSION, codec.PRESENCE_KIND])
-        header += struct.pack("<QII", 64, 2, 8)
-        blob = header + struct.pack("<H", 0xFFFF)
+        blob = spec.proof_header(spec.PRESENCE, 64, 2, 8) + spec.presence_body(range(0xFFFF), ())[:2]
         with pytest.raises(codec.TruncatedPayload):
             codec.decode_proof(blob)
 
     def test_empty_presence_proof_round_trips(self):
         proof = PresenceProof(chunk_indices=(), chunks=(), multiproof=())
         blob = codec.encode_proof(GOLDEN_PARAMS, proof)
-        assert len(blob) == 22 + 2 + 2
+        assert len(blob) == spec.presence_size(GOLDEN_PARAMS.chunk_size, 0, 0)
         assert codec.decode_proof(blob) == (GOLDEN_PARAMS, proof)
 
     def test_declared_counts_leave_bounded_memory(self):
@@ -221,13 +238,11 @@ class TestProofCodec:
         # One layout of 65,535 digests alone would keep about 2.3 MB; the
         # largest counts come last, so a cache that drops old layouts keeps them.
         counts = [*range(1, 197), 0x7FFF, 0xBFFF, 0xFFFE, 0xFFFF]
-        head = codec.PROOF_MAGIC + bytes([codec.VERSION, codec.ABSENCE_KIND])
-        head += struct.pack("<QII", 64, 2, 8) + struct.pack("<Q", 0) + GOLDEN_BITS
-        digests = bytes(range(32)) * 0xFFFF
+        head = spec.proof_header(spec.ABSENCE, 64, 2, 8)
         tracemalloc.start()
         try:
             for count in counts:
-                _, proof = codec.decode_proof(head + struct.pack("<H", count) + digests[: 32 * count])
+                _, proof = codec.decode_proof(head + spec.absence_body(0, GOLDEN_BITS, [bytes(range(32))] * count))
                 assert len(proof.path) == count
                 assert proof.path[-1] == bytes(range(32))
             del proof
@@ -241,16 +256,16 @@ class TestProofCodec:
         # chunks and 64 KiB: 591 distinct layouts, about 3.8 MB if every layout
         # were kept. The largest layouts come last, so a cache that drops old
         # layouts keeps them.
-        head = codec.PROOF_MAGIC + bytes([codec.VERSION, codec.PRESENCE_KIND])
         tracemalloc.start()
         try:
             for size in (MAX_CHUNK_SIZE >> e for e in range(17)):
                 most = min(256, MAX_CHUNK_SIZE // size)
                 for count in range(max(1, most - 47), most + 1):
-                    body = struct.pack("<QII", 8 * size, 2, size) + struct.pack("<H", count) + bytes((8 + size) * count)
-                    _, proof = codec.decode_proof(head + body + struct.pack("<H", 0))
+                    blob = spec.proof_header(spec.PRESENCE, 8 * size, 2, size)
+                    blob += spec.presence_body([0] * count, [bytes(size)] * count)
+                    _, proof = codec.decode_proof(blob)
                     assert proof.chunks == (bytes(size),) * count
-            del proof, body
+            del proof, blob
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -298,25 +313,23 @@ def test_bytes_like_inputs_decode_alike():
     assert codec._buffer(filter_blob) is filter_blob
 
 
-def headers(magic, kind=b""):
-    """Four headers, each with the cut from which its prefixes stop raising TruncatedPayload and the error they raise."""
-    params = struct.pack("<QII", 64, 2, 8)
-    version = bytes([codec.VERSION])
-    whole = len(magic) + 1 + len(kind) + len(params)
+def headers(header):
+    """Four of ``header``'s headers, each with the cut from which its prefixes stop raising TruncatedPayload and its error."""
+    whole = header(64, 2, 8)
     return [
-        (magic + version + kind + params, whole + 1, codec.TruncatedPayload),  # the body is missing
-        (bytes([magic[0] ^ 0xFF]) + magic[1:] + version + kind + params, 4, codec.BadMagic),
-        (magic + bytes([codec.VERSION + 1]) + kind + params, 5, codec.UnsupportedVersion),
-        (magic + version + kind + struct.pack("<QII", 64, 0, 8), whole, codec.InvalidField),
+        (whole, len(whole) + 1, codec.TruncatedPayload),  # the body is missing
+        (bytes([whole[0] ^ 0xFF]) + whole[1:], 4, codec.BadMagic),
+        (header(64, 2, 8, spec.VERSION + 1), 5, codec.UnsupportedVersion),
+        (header(64, 0, 8), len(whole), codec.InvalidField),
     ]
 
 
 @pytest.mark.parametrize(
     "decode,header,bad_from,error",
     [
-        *((codec.decode_filter, *case) for case in headers(codec.FILTER_MAGIC)),
-        *((codec.decode_proof, *case) for case in headers(codec.PROOF_MAGIC, bytes([codec.ABSENCE_KIND]))),
-        *((codec.decode_proof, *case) for case in headers(codec.PROOF_MAGIC, bytes([codec.PRESENCE_KIND]))),
+        *((codec.decode_filter, *case) for case in headers(spec.filter_header)),
+        *((codec.decode_proof, *case) for case in headers(functools.partial(spec.proof_header, spec.ABSENCE))),
+        *((codec.decode_proof, *case) for case in headers(functools.partial(spec.proof_header, spec.PRESENCE))),
     ],
 )
 def test_every_header_prefix_raises_the_error_of_its_first_bad_field(decode, header, bad_from, error):
@@ -436,14 +449,13 @@ def reencoded_tampers(data, bloom_tree, proof):
         ]
     blobs = [codec.encode_proof(params, forged) for forged in tampered]
 
-    # the echoed params, m u64 | k u32 | chunk_size u32, follow the magic, version and kind
-    honest = bytearray(codec.encode_proof(params, proof))
+    # the honest proof under a header that echoes one param changed
     echoed = [params.m, params.k, params.chunk_size]
     field = data.draw(st.integers(min_value=0, max_value=2))
     value = echoed[field]
     echoed[field] = data.draw(st.sampled_from((value // 2, value - 1, value + 1, value * 2)))
-    struct.pack_into("<QII", honest, len(codec.PROOF_MAGIC) + 2, *echoed)
-    blobs.append(bytes(honest))
+    kind = spec.PRESENCE if isinstance(proof, PresenceProof) else spec.ABSENCE
+    blobs.append(spec.proof_header(kind, *echoed) + codec.encode_proof(params, proof)[spec.PROOF_HEADER :])
     return blobs
 
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import spec
 from bloomtree.bloom import BloomFilter, BloomParams
 from bloomtree.experiment import (
     CSV_COLUMNS,
@@ -27,8 +28,8 @@ class TestRunCell:
         assert row.m_bits == 131072
         assert row.k == 9
         assert row.filter_bytes == 16384
-        # absence: 22-byte header + u64 index + chunk + u16 length + 9 digests
-        assert row.absence_proof_bytes == 22 + 8 + 32 + 2 + 32 * 9
+        # absence: one 32-byte chunk and 9 digests
+        assert row.absence_proof_bytes == spec.absence_size(32, 9)
 
     def test_single_element_sample_is_its_own_median(self):
         row = run_cell(8, 0.1, 30, sample_size=1, seed=4)
@@ -89,8 +90,7 @@ class TestGrid:
         for row in run_grid(TINY):
             chunk_count = row.m_bits // (row.chunk_size * 8)
             depth = int(math.log2(chunk_count))
-            digests = (row.absence_proof_bytes - 22 - 8 - row.chunk_size - 2) // 32
-            assert digests == depth
+            assert row.absence_proof_bytes == spec.absence_size(row.chunk_size, depth)
 
     def test_summary_table_lists_every_row(self):
         rows = run_grid(TINY)

@@ -49,6 +49,13 @@ def test_the_spec_imports_only_hashlib_and_struct():
     assert sorted(a.name for n in imports for a in n.names) == ["hashlib", "struct"]
 
 
+def test_only_the_spec_spells_out_the_params_layout():
+    # The v1 byte layout lives in tests/spec.py alone, so a version bump changes it in one place.
+    pattern = "<" + "QII"  # split, so this file does not hold it
+    tests = pathlib.Path(__file__).parent.glob("test_*.py")
+    assert [path.name for path in tests if pattern in path.read_text(encoding="utf-8")] == []
+
+
 def test_oracle_levels_match_the_tree():
     assert TREE.root == LEVELS[-1][0]
     for t, level in enumerate(LEVELS):
