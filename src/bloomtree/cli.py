@@ -167,7 +167,7 @@ def _cmd_prove(args) -> int:
 
 
 def _read_levels(path: str, limit: int) -> bytes:
-    """The levels file, cut one byte past its stated size or past ``limit``; no bytes if it cannot be read.
+    """The levels file, cut at its stated size or at ``limit``; no bytes if it cannot be read.
 
     A filter file's levels file is shorter than 64 bytes per byte of it, so
     a file cut at 64 times that reads as the wrong length, a miss. The read
@@ -176,7 +176,7 @@ def _read_levels(path: str, limit: int) -> bytes:
     """
     try:
         with open(path, "rb") as handle:
-            return handle.read(min(os.fstat(handle.fileno()).st_size, limit) + 1)
+            return handle.read(min(os.fstat(handle.fileno()).st_size, limit))
     except OSError:
         return b""
 

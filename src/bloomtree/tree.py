@@ -100,9 +100,7 @@ class Verdict(_Frozen):
         return self.kind is not VerdictKind.INVALID
 
     def __str__(self) -> str:
-        if self.kind is VerdictKind.INVALID and self.reason:
-            return f"{self.kind.value}: {self.reason}"
-        return self.kind.value
+        return f"{self.kind.value}: {self.reason}" if self.reason else self.kind.value
 
 
 # The two valid verdicts carry no reason, so each is one shared immutable record.

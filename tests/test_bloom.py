@@ -66,6 +66,11 @@ class TestDeriveParams:
         assert params.k == 6
         assert params.chunk_count == 1
 
+    def test_k_is_at_least_one(self):
+        # m = 2048 for 1000 elements gives k = round(1.42) = 1; m = 32 gives round(0.02) = 0, raised to 1
+        assert derive_params(1000, 0.5, 1).k == 1
+        assert derive_params(1000, 0.99, 1).k == 1
+
     def test_single_chunk_clamp(self):
         # chunk already larger than the raw requirement: exactly one chunk
         params = derive_params(3, 0.5, 64)
@@ -74,7 +79,8 @@ class TestDeriveParams:
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.3, 1.5, float("nan")])
     def test_rejects_bad_fpr(self, p):
-        with pytest.raises(ValueError):
+        # by the interval rule, not by the math domain error log(0) would raise
+        with pytest.raises(ValueError, match=r"target false-positive rate must be in \(0, 1\)"):
             derive_params(100, p, 32)
 
     def test_rejects_bad_n(self):
@@ -197,6 +203,8 @@ class TestFpr:
 
     def test_zero_inserts(self):
         assert fpr(1024, 7, 0) == 0.0
+        # no insert has set the single bit, so the m == 1 rule must not apply
+        assert fpr(1, 3, 0) == 0.0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -355,7 +355,10 @@ class TestLevelsFile:
         assert levels_path.read_bytes() == honest
         assert temp_files(tmp_path) == []
 
-    @pytest.mark.parametrize("damage", ["truncated", "extended", "garbage", "wrong version", "another tree", "directory"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncated", "extended", "garbage", "wrong version", "another tree", "another tree, then the root", "directory"],
+    )
     def test_a_damaged_levels_file_gives_the_same_bytes(self, tmp_path, filter_file, damage):
         prove_file(tmp_path, filter_file, b"alpha")
         levels_path = tmp_path / "filter.blt.levels"
@@ -365,7 +368,8 @@ class TestLevelsFile:
             levels_path.mkdir()
         else:
             # another tree: the whole tree of this filter with a chunk alpha's proof does not read
-            # changed, under this filter's key; alpha's proof verifies against its root, not the stored one
+            # changed, under this filter's key; alpha's proof verifies against its root, not the stored one.
+            # A file one digest too long can end with the stored root.
             changed = flip_chunk_bit(filter_file.read_bytes(), unread_chunk(filter_file, b"alpha"))
             params, bits, _ = codec._filter_fields(changed)
             other = build(BloomFilter(params, bits))
@@ -375,6 +379,7 @@ class TestLevelsFile:
                 "garbage": bytes(range(256)) * (len(honest) // 256) + bytes(len(honest) % 256),
                 "wrong version": honest[:4] + bytes([codec.VERSION + 1]) + honest[5:],
                 "another tree": honest[:37] + b"".join(other.tree.levels),
+                "another tree, then the root": honest[:37] + b"".join(other.tree.levels) + honest[-32:],
             }[damage]
             levels_path.write_bytes(damaged)
         for element in (b"alpha", b"zeta-is-not-here"):
@@ -405,6 +410,14 @@ class TestExperiment:
         explicit = tmp_path / "explicit.csv"
         assert run_cli(*grid, "--out", str(defaulted)) == 0
         assert run_cli(*grid, "--seed", "7", "--sample-size", "100", "--out", str(explicit)) == 0
+        assert defaulted.read_bytes() == explicit.read_bytes()
+
+    def test_an_omitted_axis_is_the_grid_default(self, tmp_path):
+        grid = ["experiment", "--fprs", "0.1", "--ns", "40", "--sample-size", "2"]
+        defaulted = tmp_path / "defaulted.csv"
+        explicit = tmp_path / "explicit.csv"
+        assert run_cli(*grid, "--out", str(defaulted)) == 0
+        assert run_cli(*grid, "--chunk-sizes", "8,32,64", "--out", str(explicit)) == 0
         assert defaulted.read_bytes() == explicit.read_bytes()
 
     def test_empty_axis_is_a_usage_error(self, tmp_path, capsys):

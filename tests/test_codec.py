@@ -291,8 +291,12 @@ class TestProofCodec:
         # The counts must agree with each other and fit their u16 fields.
         with pytest.raises(ValueError, match="chunk index count and chunk count disagree"):
             codec.encode_proof(GOLDEN_PARAMS, PresenceProof((0, 1), (GOLDEN_BITS,), ()))
+        codec.encode_proof(GOLDEN_PARAMS, AbsenceProof(0, bytes(8), (bytes(32),) * 0xFFFF))
+        codec.encode_proof(GOLDEN_PARAMS, PresenceProof(tuple(range(0xFFFF)), (bytes(8),) * 0xFFFF, ()))
         with pytest.raises(ValueError, match="too large for u16 count fields"):
             codec.encode_proof(GOLDEN_PARAMS, AbsenceProof(0, bytes(8), (bytes(32),) * 0x10000))
+        with pytest.raises(ValueError, match="too large for u16 count fields"):
+            codec.encode_proof(GOLDEN_PARAMS, PresenceProof(tuple(range(0x10000)), (bytes(8),) * 0x10000, ()))
 
 
 @pytest.mark.parametrize("decode", [codec.decode_filter, codec.decode_proof])
@@ -308,7 +312,11 @@ def test_bytes_like_inputs_decode_alike():
     for form in (bytearray, memoryview):
         assert codec.decode_filter(form(filter_blob)) == codec.decode_filter(filter_blob)
         for blob in proof_blobs:
-            assert codec.decode_proof(form(blob)) == codec.decode_proof(blob)
+            _, proof = codec.decode_proof(form(blob))
+            assert (params, proof) == codec.decode_proof(blob)
+            # equal, and of the types a verifier reads: bytes, not slices of the input
+            chunks = proof.chunks if isinstance(proof, PresenceProof) else (proof.chunk,)
+            assert {type(chunk) for chunk in chunks} == {bytes}
     # bytes are read in place: a load does not pay for a second copy of the filter
     assert codec._buffer(filter_blob) is filter_blob
 
@@ -370,6 +378,7 @@ def test_every_header_prefix_raises_the_error_of_its_first_bad_field(decode, hea
             codec.encode_proof(GOLDEN_PARAMS, PresenceProof((0, 3), (GOLDEN_BITS, bytes(8)), (bytes(32),))),
             {
                 23: "need 2 more bytes at offset 22, have 1",
+                24: "need 16 more bytes at offset 24, have 0",
                 30: "need 16 more bytes at offset 24, have 6",
                 45: "need 16 more bytes at offset 40, have 5",
                 56: "need 2 more bytes at offset 56, have 0",

@@ -4,6 +4,7 @@ import math
 import pytest
 
 import spec
+from bloomtree import experiment
 from bloomtree.bloom import BloomFilter, BloomParams
 from bloomtree.experiment import (
     CSV_COLUMNS,
@@ -17,7 +18,7 @@ from bloomtree.experiment import (
     run_grid,
     write_csv,
 )
-from bloomtree.tree import build
+from bloomtree.tree import Verdict, build
 
 TINY = ExperimentConfig(chunk_sizes=(8,), fprs=(0.1,), ns=(50, 120), sample_size=9, seed=3)
 
@@ -39,6 +40,11 @@ class TestRunCell:
         one = run_cell(8, 0.1, 40, sample_size=6, seed=5)
         two = run_cell(8, 0.1, 40, sample_size=6, seed=5)
         assert one == two
+
+    def test_a_proof_is_measured_only_once_it_verifies(self, monkeypatch):
+        monkeypatch.setattr(experiment, "verify", lambda *args: Verdict.invalid("refused"))
+        with pytest.raises(RuntimeError, match="measured proof failed verification: Invalid: refused"):
+            run_cell(8, 0.1, 30, sample_size=1, seed=4)
 
     def test_filter_bytes_match_geometry(self):
         row = run_cell(64, 0.001, 200, sample_size=4, seed=6)
@@ -65,6 +71,9 @@ def test_saturated_filter_raises():
     bloom_tree = build(BloomFilter(params, bytearray([0xFF])))
     with pytest.raises(RuntimeError):
         _absence_specimen_size(bloom_tree, _element_stream("sat"), max_draws=20)
+    # a cell draws ten fresh elements per sampled element: 1000 elements set all 32 bits of this one
+    with pytest.raises(RuntimeError, match="no absence-yielding element found in 10 draws"):
+        run_cell(1, 0.99, 1000, sample_size=1)
 
 
 class TestGrid:
@@ -99,10 +108,12 @@ class TestGrid:
         assert len(table.splitlines()) == 2 + len(rows)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(chunk_sizes=())
+        for axis in ("chunk_sizes", "fprs", "ns"):
+            with pytest.raises(ValueError, match="must all be non-empty"):
+                ExperimentConfig(**{axis: ()})
         with pytest.raises(ValueError):
             ExperimentConfig(sample_size=0)
+        assert ExperimentConfig(sample_size=1).sample_size == 1
 
     def test_default_grid_output_is_pinned(self):
         # The CSV and the summary table are frozen: SHA-256 of each for the

@@ -220,6 +220,7 @@ class TestSingleProof:
         assert not verify_multi(tree.root, [(0, leaf)], 5, proof)  # not a power of two
         assert not verify_multi(tree.root, [(-1, leaf)], 4, proof)
         assert not verify_multi(b"short", [(0, leaf)], 4, proof)
+        assert not verify_multi(type("Root", (bytes,), {})(tree.root), [(0, leaf)], 4, proof)  # equal, but a subclass
         assert not verify_multi(tree.root, [(0, b"short")], 4, proof)
         assert not verify_multi(tree.root, [(0, leaf)], 4, [b"short", b"x"])
         assert not verify_multi(tree.root, [(0, leaf)], 4, None)
@@ -435,6 +436,13 @@ class TestKeptLevels:
         monkeypatch.setattr(merkle, "hashlib", no_hashing())
         for subset in ([3], [0, 9], list(range(16))):
             assert verify_multi(tree.root, entries_for(leaves, subset), 16, prove_multi(tree, subset))
+
+    def test_a_deep_tree_keeps_its_top_levels(self):
+        leaves = leaves_for(1 << 14, seed=44)
+        tree = build_tree(leaves)
+        assert verify_multi(tree.root, [(5, leaves[5])], 1 << 14, prove_multi(tree, [5]))
+        kept = merkle._kept_levels(tree.root, 14)
+        assert [len(level) for level in kept] == [len(level) for level in tree.levels[-merkle._KEPT_LEVELS :]]
 
     def test_a_warm_verify_refuses_a_changed_leaf(self):
         leaves = leaves_for(16, seed=48)

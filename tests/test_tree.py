@@ -752,5 +752,10 @@ def test_honest_proofs_are_never_invalid(inserted, probes):
         filt.insert(element)
     bloom_tree = build(filt)
     for element in probes + inserted:
-        verdict = verify(bloom_tree.root, SMALL, element, prove(bloom_tree, element))
+        proof = prove(bloom_tree, element)
+        verdict = verify(bloom_tree.root, SMALL, element, proof)
         assert verdict.kind is not VerdictKind.INVALID
+        # a proof whose fields are lists, not tuples, is read alike
+        fields = [getattr(proof, name) for name in proof.__slots__]
+        listed = type(proof)(*[list(field) if type(field) is tuple else field for field in fields])
+        assert verify(bloom_tree.root, SMALL, element, listed) is verdict
