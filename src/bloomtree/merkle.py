@@ -37,10 +37,10 @@ _LAYOUTS_KEPT = 128  # a layout keeps about 35 bytes per field: at most about 1.
 
 # The record of _verify_leaves: (root, depth, levels) of the tree it verified
 # last. levels holds its top _KEPT_LEVELS levels (all of a shallower tree),
-# laid out as MerkleTree.levels, the root last: at most 2**13 - 1 digests,
-# 256 KiB. A digest no verified fold has shown is _UNSEEN.
-_KEPT_LEVELS = 13
-_UNSEEN = bytes(DIGEST_SIZE)
+# leaves first and the root last, as one list per level: node i of a level is
+# its slot i, one 32-byte bytes, or None where no verified fold has shown it.
+# A new record is 2**14 - 1 slots of None, 128 KiB; a full one, about 1.4 MB.
+_KEPT_LEVELS = 14
 _kept: tuple = (None, -1, None)
 
 
@@ -242,10 +242,11 @@ def _verify_leaves(
     proof's digests, which nobody vouched for, are checked here.
 
     The leaves are hashed up to the lowest level _kept holds. If the record
-    is this (root, depth)'s and holds every node reached there, the rest of
-    the proof must be what _prove reads off the kept levels, and nothing more
-    is hashed. Otherwise the nodes are hashed on to the root, and a fold that
-    reproduces it is copied into the record.
+    is this (root, depth)'s and holds every node reached there (an unseen
+    slot is None, which equals no digest), the rest of the proof must be what
+    _walk reads off the kept levels, and nothing more is hashed. Otherwise
+    the nodes are hashed on to the root, and a fold that reproduces it is
+    copied into the record.
     """
     if not _all_digests(proof):
         return False
@@ -255,10 +256,8 @@ def _verify_leaves(
         return False
     positions, nodes, cursor = folded
     kept = _kept_levels(root, depth)
-    if kept is not None and _UNSEEN not in nodes:
-        level = kept[0]
-        if [level[pos * DIGEST_SIZE : (pos + 1) * DIGEST_SIZE] for pos in positions] == list(nodes):
-            return list(proof[cursor:]) == _prove(kept, positions)
+    if kept is not None and list(map(kept[0].__getitem__, positions)) == list(nodes):
+        return list(proof[cursor:]) == _walk(kept, positions)
     seen = []
     folded = _fold(positions, nodes, proof, cursor, depth - bottom, depth - bottom, seen)
     if folded is None or folded[1][0] != root:
@@ -326,25 +325,47 @@ def _kept_levels(root: Digest, depth: int) -> list | None:
     return levels if kept_depth == depth and kept_root == root else None
 
 
+def _walk(levels: list, known: Sequence[int]) -> list[Digest]:
+    """_prove over the record's levels: the same schedule, each digest read from its slot.
+
+    known is a frontier at levels[0] whose nodes the record holds, so the
+    nodes read are their siblings and ancestors' siblings, which it holds too.
+    """
+    proof = []
+    for level in levels[:-1]:
+        parents = []
+        last = -1
+        for pos in known:
+            parent = pos >> 1
+            if parent == last:
+                proof.pop()  # pos is the sibling its left neighbour asked for: known, not sent
+            else:
+                proof.append(level[pos ^ 1])
+                parents.append(parent)
+                last = parent
+        known = parents
+    return proof
+
+
 def _keep(root: Digest, depth: int, bottom: int, seen: list) -> None:
     """Copy what a fold from level ``bottom`` that reproduced ``root`` saw into the record, the top level first.
 
-    A record of another (root, depth) is replaced by a new one of all-unseen
-    levels. Written top down, one pair of children at a time under a parent
-    already held, the nodes held stay closed under sibling and parent after
-    every write, so a verify that reads the record between two writes still
-    reads only digests a fold vouched for.
+    A record of another (root, depth) is replaced by a new one of all-None
+    levels. Each digest is new bytes, cut from a preimage, and the root is
+    copied, so no caller's bytearray is held. Written top down, one pair of
+    children at a time under a parent already held, the nodes held stay
+    closed under sibling and parent after every write, so a verify that reads
+    the record between two writes still reads only digests a fold vouched for.
     """
     global _kept
     levels = _kept_levels(root, depth)
     if levels is None:
-        levels = [bytearray(DIGEST_SIZE << (depth - t)) for t in range(bottom, depth)] + [bytes(root)]
-        _kept = (bytes(root), depth, levels)
-    pair = 2 * DIGEST_SIZE
+        key = bytes(root)
+        levels = [[None] * (1 << (depth - t)) for t in range(bottom, depth)] + [[key]]
+        _kept = (key, depth, levels)
     for level, (parents, pairs) in reversed(list(zip(levels, seen))):
-        view = memoryview(level)  # a slice assignment through it takes under half the bytearray's time
         for parent, preimage in zip(parents, pairs):
-            view[parent * pair : (parent + 1) * pair] = preimage[1:]
+            level[2 * parent : 2 * parent + 2] = preimage[1:33], preimage[33:]
 
 
 def _is_power_of_two(value) -> bool:

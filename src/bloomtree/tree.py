@@ -214,9 +214,9 @@ def verify(
     """Check a proof against a trusted root and params.
 
     Beyond (root, params), the verifier reads only the top levels of the
-    last tree it verified, which merkle._verify_leaves keeps from proofs that
-    reproduced that root; a verdict is the one it would be without them. The
-    verifier recomputes the element's bit positions itself; proofs carry
+    last tree it verified: digests merkle._verify_leaves copied out of folds
+    that reproduced that root. A verdict is the one it would be without them.
+    The verifier recomputes the element's bit positions itself; proofs carry
     no index claims about the element. Every failure, a non-bytes element or
     params that are not BloomParams included, returns an INVALID verdict
     with a reason, never an exception. The root, chunks and chunk indices,

@@ -208,9 +208,15 @@ MUTANTS = (
     ),
     Mutant(
         "a warm verify skips the rest-of-proof comparison",
-        "return list(proof[cursor:]) == _prove(kept, positions)",
+        "return list(proof[cursor:]) == _walk(kept, positions)",
         "return True",
         ("tests/test_tree.py::TestVerify::test_one_digest_replaced_after_every_leaf_was_verified_is_invalid",),
+    ),
+    Mutant(
+        "the record holds the caller's root object",
+        "key = bytes(root)",
+        "key = root",
+        ("tests/test_merkle.py::TestKeptLevels::test_the_record_holds_copies_of_a_callers_bytearrays",),
     ),
     Mutant(
         "optimal_bit_count lets a float overflow out as OverflowError",
@@ -328,6 +334,7 @@ EQUIVALENTS = (
     Equivalent("merkle", "_split", "test to False", "count <= _BLOCK_FIELDS", "a short cut: _blocks cuts the same fields"),
     Equivalent("merkle", "_split", "<= to <", "count <= _BLOCK_FIELDS", "a short cut: _blocks cuts the same fields"),
     Equivalent("merkle", "_prove", "1 to 2", "last = -1", "last starts below every parent position, and all are >= 0"),
+    Equivalent("merkle", "_walk", "1 to 2", "last = -1", "last starts below every parent position, and all are >= 0"),
     Equivalent("codec", "_params", "16 to 17", "maxsize=16", "a cache size: a cached record equals a new one"),
     Equivalent("cli", "_cmd_prove", "64 to 65", "64 * len(data)", "a levels file is under 64 bytes per filter byte, so it reads whole"),
 )

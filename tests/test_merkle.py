@@ -438,11 +438,46 @@ class TestKeptLevels:
             assert verify_multi(tree.root, entries_for(leaves, subset), 16, prove_multi(tree, subset))
 
     def test_a_deep_tree_keeps_its_top_levels(self):
+        # A depth-14 tree has 15 levels; the record holds a slot per node of all but the leaves.
         leaves = leaves_for(1 << 14, seed=44)
         tree = build_tree(leaves)
         assert verify_multi(tree.root, [(5, leaves[5])], 1 << 14, prove_multi(tree, [5]))
         kept = merkle._kept_levels(tree.root, 14)
-        assert [len(level) for level in kept] == [len(level) for level in tree.levels[-merkle._KEPT_LEVELS :]]
+        assert [len(level) for level in kept] == [len(level) // 32 for level in tree.levels[1:]]
+
+    def test_a_full_record_is_closed_true_to_the_tree_and_bounded(self):
+        # Every leaf of a depth-14 tree verified, a multiproof of 64 at a time,
+        # fills every slot of the record: 2**14 - 1 digest objects. Part way
+        # and at the end, each digest held is build_tree's and has its sibling
+        # and parent held.
+        count = 1 << 14
+        leaves = leaves_for(count, seed=52)
+        tree = build_tree(leaves)
+        batches = [list(range(start, count, count // 64)) for start in range(count // 64)]
+        proofs = [prove_multi(tree, batch) for batch in batches]
+
+        def check_record():
+            kept = merkle._kept_levels(tree.root, 14)
+            for t, level in enumerate(kept[:-1]):
+                for i, digest in enumerate(level):
+                    if digest is not None:
+                        assert digest == node(tree, 1 + t, i)
+                        assert level[i ^ 1] is not None and kept[t + 1][i >> 1] is not None
+            assert kept[-1] == [tree.root]
+            return kept
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for number, (batch, proof) in enumerate(zip(batches, proofs)):
+                assert verify_multi(tree.root, entries_for(leaves, batch), count, proof)
+                if number in (0, 5, 50):
+                    check_record()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert None not in itertools.chain.from_iterable(check_record())
+        assert retained < 1.5 * 1024 * 1024, retained
 
     def test_a_warm_verify_refuses_a_changed_leaf(self):
         leaves = leaves_for(16, seed=48)
@@ -489,9 +524,9 @@ class TestKeptLevels:
         assert merkle._kept_levels(tree.root, 4) is not None
 
     def test_an_unseen_node_is_not_taken_for_a_zero_digest(self):
-        # Unseen nodes are zero bytes in the record. Leaf 7, its sibling and
-        # its parent's sibling are unseen after leaf 0 is verified; the
-        # grandparent's sibling is on leaf 0's path.
+        # Unseen nodes are None in the record, and a zero digest must not pass
+        # for one. Leaf 7, its sibling and its parent's sibling are unseen
+        # after leaf 0 is verified; the grandparent's sibling is on leaf 0's path.
         leaves = leaves_for(8, seed=44)
         tree = build_tree(leaves)
         assert verify_multi(tree.root, [(0, leaves[0])], 8, prove_multi(tree, [0]))
@@ -499,8 +534,46 @@ class TestKeptLevels:
         assert not verify_multi(tree.root, [(7, bytes(32))], 8, forged)
         assert not verify_multi(tree.root, [(6, bytes(32)), (7, bytes(32))], 8, forged[1:])
 
+    def test_the_record_holds_copies_of_a_callers_bytearrays(self):
+        # A root, leaves and proof digests given as bytearrays and changed in
+        # place once they verified: each changed one, with the others honest,
+        # is refused, and the honest bytes still verify. A record holding a
+        # caller's object would take the changed one for what it vouched for.
+        leaves = leaves_for(16, seed=53)
+        tree = build_tree(leaves)
+        subset = [2, 9]
+        proof = prove_multi(tree, subset)
+        root = bytearray(tree.root)
+        held = [bytearray(leaves[i]) for i in subset]
+        digests = [bytearray(digest) for digest in proof]
+        assert verify_multi(root, list(zip(subset, held)), 16, digests)
+        for value in (root, *held, *digests):
+            value[0] ^= 0x01
+        honest = entries_for(leaves, subset)
+        assert not verify_multi(root, honest, 16, proof)
+        for victim in range(len(subset)):
+            changed = [(i, held[n] if n == victim else leaves[i]) for n, i in enumerate(subset)]
+            assert not verify_multi(tree.root, changed, 16, proof)
+        for victim in range(len(proof)):
+            changed = [digests[n] if n == victim else digest for n, digest in enumerate(proof)]
+            assert not verify_multi(tree.root, honest, 16, changed)
+        assert verify_multi(tree.root, honest, 16, proof)
+
+    @given(depth=st.integers(min_value=0, max_value=6), data=st.data())
+    def test_the_warm_walk_is_the_provers_schedule(self, depth, data):
+        # On a record holding every node, _walk reads off the same digests as
+        # _prove does from the tree's levels, for any strictly increasing set.
+        count = 1 << depth
+        leaves = leaves_for(count, seed=54 + depth)
+        tree = build_tree(leaves)
+        assert verify_multi(tree.root, entries_for(leaves, range(count)), count, [])
+        kept = merkle._kept_levels(tree.root, depth)
+        positions = sorted(data.draw(st.sets(st.integers(0, count - 1), min_size=1)))
+        assert merkle._walk(kept, positions) == merkle._prove(tree.levels, positions)
+
     def test_three_deep_trees_keep_one_record(self):
-        # A depth-14 tree keeps its top 13 levels: 2**13 - 1 digests, 262,112 bytes.
+        # A depth-14 tree keeps its top 14 levels: 2**14 - 1 slots of None,
+        # 128 KiB, of which three verifies fill a few dozen.
         count = 1 << 14
         trees = []
         for seed in (45, 46, 47):

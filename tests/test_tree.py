@@ -25,7 +25,7 @@ from bloomtree.tree import (
 # Matching 32-byte-chunk geometry used throughout: 256 bits per chunk.
 PARAMS_32 = BloomParams(m=131072, k=9, chunk_size=32)
 SMALL = BloomParams(m=512, k=5, chunk_size=8)  # 8 chunks of 64 bits
-DEEP = BloomParams(m=8 << 14, k=5, chunk_size=1)  # 2**14 chunks: merkle keeps all but the bottom two levels
+DEEP = BloomParams(m=8 << 14, k=5, chunk_size=1)  # 2**14 chunks: merkle keeps all but the leaf level
 
 # Computed once with a standalone SHA-256 tool over 0x00 || LE64(index) || chunk.
 LEAF_GOLDEN_3 = "55582a711412846389df2d591343bc3955ed64ca33c2f7a0d3b47204586e2299"
@@ -462,8 +462,8 @@ class TestVerify:
     def test_one_digest_replaced_after_every_leaf_was_verified_is_invalid(self, params, monkeypatch):
         # Once every leaf has been verified, merkle keeps the tree's top levels
         # whole, so each proof below meets a warm record. Each of its digests
-        # replaced by another of its digests, or by the zero bytes that mark
-        # an unseen node there, is still refused with the cold fold's reason.
+        # replaced by another of its digests, or by zero bytes, is still
+        # refused with the cold fold's reason.
         monkeypatch.setattr(merkle, "_kept", (None, -1, None))
         bloom_tree, inserted, rng = populated_tree(params, seed=27)
         tree = bloom_tree.tree
