@@ -9,6 +9,7 @@ contents with --element-file); the library itself accepts arbitrary bytes.
 
 import argparse
 import os
+import stat
 import sys
 
 from . import codec
@@ -172,13 +173,20 @@ def _read_levels(path: str, limit: int) -> bytes:
     A filter file's levels file is shorter than 64 bytes per byte of it, so
     a file cut at 64 times that reads as the wrong length, a miss. The read
     asks for the stated size, as a read of ``limit`` bytes would allocate
-    them all first.
+    them all first. The open does not wait for a writer, as a plain open of a
+    FIFO would, and anything but a regular file, such as a FIFO or a device,
+    reads as no bytes.
     """
     try:
-        with open(path, "rb") as handle:
-            return handle.read(min(os.fstat(handle.fileno()).st_size, limit))
+        with open(path, "rb", opener=_open_nonblocking) as handle:
+            status = os.fstat(handle.fileno())
+            return handle.read(min(status.st_size, limit)) if stat.S_ISREG(status.st_mode) else b""
     except OSError:
         return b""
+
+
+def _open_nonblocking(path: str, flags: int) -> int:
+    return os.open(path, flags | getattr(os, "O_NONBLOCK", 0))  # a platform without it has no FIFOs to wait on
 
 
 def _decode_and_keep(data: bytes, levels_path: str) -> BloomTree:

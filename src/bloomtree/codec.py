@@ -167,10 +167,15 @@ def encode_proof(params: BloomParams, proof: Proof) -> bytes:
         count = len(proof.chunk_indices)
         if count != len(chunks):
             raise ValueError("chunk index count and chunk count disagree")
+        inexact = [index_type for index_type in map(type, proof.chunk_indices) if index_type is not int]
     elif isinstance(proof, AbsenceProof):
         kind, chunks, digests = ABSENCE_KIND, (proof.chunk,), proof.path
+        inexact = type(proof.chunk_index) is not int
     else:
         raise TypeError(f"cannot encode proof of type {type(proof).__name__}")
+    # Exact ints, as verify reads them: a bool or an int subclass would encode as the int it equals.
+    if inexact:
+        raise ValueError("chunk indices must be exact ints, not bools or int subclasses")
     if len(chunks) > 0xFFFF or len(digests) > 0xFFFF:
         raise ValueError("proof too large for u16 count fields")
     if not set(map(len, chunks)) <= {params.chunk_size}:

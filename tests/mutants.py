@@ -312,6 +312,12 @@ MUTANTS = (
         ("tests/test_cli.py::TestLevelsFile::test_a_wrong_digest_on_the_proof_path_is_repaired",),
     ),
     Mutant(
+        "prove waits in open() for a writer to a FIFO at the levels path",
+        'flags | getattr(os, "O_NONBLOCK", 0)',
+        "flags",
+        ("tests/test_cli.py::TestLevelsFile::test_a_fifo_at_the_levels_path_is_a_miss",),
+    ),
+    Mutant(
         "the grid takes the upper median",
         "statistics.median_low(",
         "statistics.median_high(",
@@ -337,6 +343,14 @@ EQUIVALENTS = (
     Equivalent("merkle", "_walk", "1 to 2", "last = -1", "last starts below every parent position, and all are >= 0"),
     Equivalent("codec", "_params", "16 to 17", "maxsize=16", "a cache size: a cached record equals a new one"),
     Equivalent("cli", "_cmd_prove", "64 to 65", "64 * len(data)", "a levels file is under 64 bytes per filter byte, so it reads whole"),
+    Equivalent(
+        "cli",
+        "_read_levels",
+        "to its body",
+        "handle.read(min(status.st_size, limit)) if stat.S_ISREG(status.st_mode) else b''",
+        "on Linux a FIFO or a device states size 0, so its read asks for no bytes",
+    ),
+    Equivalent("cli", "_open_nonblocking", "0 to 1", "getattr(os, 'O_NONBLOCK', 0)", "the default is for a platform without O_NONBLOCK, and every POSIX one has it"),
 )
 
 _SYMBOLS = {

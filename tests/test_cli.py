@@ -1,6 +1,7 @@
 import hashlib
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 
@@ -21,13 +22,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_python(*argv, stdin=None):
+def run_python(*argv, stdin=None, timeout=None):
     env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run([sys.executable, *argv], input=stdin, capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, *argv], input=stdin, capture_output=True, text=True, env=env, timeout=timeout
+    )
 
 
-def run_module(*argv, stdin=None):
-    return run_python("-m", "bloomtree", *argv, stdin=stdin)
+def run_module(*argv, stdin=None, timeout=None):
+    return run_python("-m", "bloomtree", *argv, stdin=stdin, timeout=timeout)
 
 
 @pytest.fixture
@@ -385,6 +388,21 @@ class TestLevelsFile:
         for element in (b"alpha", b"zeta-is-not-here"):
             assert prove_file(tmp_path, filter_file, element) == (0, library_proof(filter_file, element))
         assert levels_path.is_dir() if damage == "directory" else levels_path.read_bytes() == honest
+        assert temp_files(tmp_path) == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_a_fifo_at_the_levels_path_is_a_miss(self, tmp_path, filter_file):
+        # A plain open of a FIFO waits for a writer. The prove runs in a child
+        # process, so a prove that waits fails at the timeout instead of hanging.
+        levels_path = tmp_path / "filter.blt.levels"
+        os.mkfifo(levels_path)
+        proof_path = tmp_path / "alpha.proof"
+        proved = run_module(
+            "prove", "--filter", str(filter_file), "--element", "alpha", "--out", str(proof_path), timeout=10
+        )
+        assert proved.returncode == 0, proved.stderr
+        assert proof_path.read_bytes() == library_proof(filter_file, b"alpha")
+        assert stat.S_ISREG(levels_path.lstat().st_mode)
         assert temp_files(tmp_path) == []
 
 

@@ -288,6 +288,13 @@ class TestProofCodec:
             codec.encode_proof(GOLDEN_PARAMS, AbsenceProof(2**64, bytes(8), ()))
         with pytest.raises(TypeError):
             codec.encode_proof(GOLDEN_PARAMS, "not a proof")
+        # verify refuses a bool or an int subclass as a chunk index, so the
+        # encoder must not write one as the int it equals.
+        for index in (True, type("Index", (int,), {})(1)):
+            with pytest.raises(ValueError, match="exact ints"):
+                codec.encode_proof(GOLDEN_PARAMS, AbsenceProof(index, bytes(8), ()))
+            with pytest.raises(ValueError, match="exact ints"):
+                codec.encode_proof(GOLDEN_PARAMS, PresenceProof((0, index), (GOLDEN_BITS, bytes(8)), ()))
         # The counts must agree with each other and fit their u16 fields.
         with pytest.raises(ValueError, match="chunk index count and chunk count disagree"):
             codec.encode_proof(GOLDEN_PARAMS, PresenceProof((0, 1), (GOLDEN_BITS,), ()))
