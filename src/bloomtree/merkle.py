@@ -34,6 +34,8 @@ _NODE_PREFIX = b"\x01"
 _BLOCK_FIELDS = 256
 _BLOCK_BYTES = 64 * 1024
 _LAYOUTS_KEPT = 128  # a layout keeps about 35 bytes per field: at most about 1.2 MB in all
+# A MerkleTree keeps each level of at most this many bytes as a tuple of digests too; see MerkleTree.
+_DIGEST_LEVEL_BYTES = 4096 * DIGEST_SIZE
 
 # The record of _verify_leaves: (root, depth, levels) of the tree it verified
 # last. levels holds its top _KEPT_LEVELS levels (all of a shallower tree),
@@ -44,7 +46,13 @@ _KEPT_LEVELS = 14
 _kept: tuple = (None, -1, None)
 
 
-class MerkleTree(_Frozen):
+class _DigestSlot:
+    """The slot of a MerkleTree's digest tuples, outside the fields _Frozen compares, hashes and prints."""
+
+    __slots__ = ("_digests",)
+
+
+class MerkleTree(_DigestSlot, _Frozen):
     """All levels of a complete binary Merkle tree.
 
     levels[0] holds the 2^L leaves, levels[t] the 2^(L-t) nodes of level t,
@@ -52,12 +60,19 @@ class MerkleTree(_Frozen):
     node i of a level sits at bytes [32i, 32i + 32). Immutable after build;
     safe to share across threads. A build hashes each level in blocks; see
     _blocks for what it holds beyond the levels.
+
+    The constructor also cuts each level of at most 4,096 nodes into a tuple
+    of digests, which _prove reads through _walk. These top levels are not a
+    field: ==, hash, repr, copy and pickle go by ``levels`` alone. They hold
+    at most 8,191 digests, about 0.6 MB, for a tree of any depth.
     """
 
     __slots__ = ("levels",)
 
     def __init__(self, levels: tuple[bytes, ...]) -> None:
         object.__setattr__(self, "levels", levels)
+        top = [_split(level, DIGEST_SIZE) for level in levels if len(level) <= _DIGEST_LEVEL_BYTES]
+        object.__setattr__(self, "_digests", tuple(top))
 
     @property
     def leaf_count(self) -> int:
@@ -170,19 +185,22 @@ def prove_multi(tree: MerkleTree, leaf_indices: Sequence[int]) -> list[Digest]:
     known = list(leaf_indices)
     if not _are_leaf_indices(known, tree.leaf_count):
         raise ValueError(f"leaf indices must be strictly increasing ints in [0, {tree.leaf_count})")
-    return _prove(tree.levels, known)
+    return _prove(tree, known)
 
 
-def _prove(levels: tuple[bytes, ...], known: list[int]) -> list[Digest]:
-    """prove_multi over a tree's levels, for leaf indices its caller has checked."""
+def _prove(tree: MerkleTree, known: list[int]) -> list[Digest]:
+    """prove_multi over ``tree``, for leaf indices its caller has checked.
+
+    The frontier loop cuts each digest out of a flat level below the tree's
+    digest tuples; from there _walk reads the rest of the schedule off them.
+    """
     size = DIGEST_SIZE
     proof = []
     send, unsend = proof.append, proof.pop
-    t = 0
-    while len(known) > 1:
+    levels = tree.levels
+    for level in levels[: len(levels) - len(tree._digests)]:
         parents = []
         last = -1
-        level = levels[t]
         for pos in known:
             parent = pos >> 1
             if parent == last:
@@ -193,13 +211,7 @@ def _prove(levels: tuple[bytes, ...], known: list[int]) -> list[Digest]:
                 parents.append(parent)
                 last = parent
         known = parents
-        t += 1
-    pos = known[0]
-    for level in levels[t:-1]:
-        start = (pos ^ 1) * size
-        send(level[start : start + size])
-        pos >>= 1
-    return proof
+    return _walk(tree._digests, known, proof)
 
 
 def verify_multi(
@@ -257,7 +269,7 @@ def _verify_leaves(
     positions, nodes, cursor = folded
     kept = _kept_levels(root, depth)
     if kept is not None and list(map(kept[0].__getitem__, positions)) == list(nodes):
-        return list(proof[cursor:]) == _walk(kept, positions)
+        return list(proof[cursor:]) == _walk(kept, positions, [])
     seen = []
     folded = _fold(positions, nodes, proof, cursor, depth - bottom, depth - bottom, seen)
     if folded is None or folded[1][0] != root:
@@ -325,25 +337,35 @@ def _kept_levels(root: Digest, depth: int) -> list | None:
     return levels if kept_depth == depth and kept_root == root else None
 
 
-def _walk(levels: list, known: Sequence[int]) -> list[Digest]:
-    """_prove over the record's levels: the same schedule, each digest read from its slot.
+def _walk(levels: Sequence[Sequence[Digest]], known: Sequence[int], proof: list[Digest]) -> list[Digest]:
+    """Append to ``proof`` the multiproof schedule from frontier ``known`` at levels[0], each digest read by index.
 
-    known is a frontier at levels[0] whose nodes the record holds, so the
-    nodes read are their siblings and ancestors' siblings, which it holds too.
+    The one reader of digest lists: levels are a MerkleTree's digest tuples
+    (at most 8,191 digests, about 0.6 MB) or the verifier's record (at most
+    2**14 - 1 slots, about 1.4 MB full), the root level last. The nodes read
+    are the siblings of the frontier and of its ancestors. Once the frontier
+    is one node, the rest is its sibling path.
     """
-    proof = []
-    for level in levels[:-1]:
+    send, unsend = proof.append, proof.pop
+    t = 0
+    while len(known) > 1:
+        level = levels[t]
         parents = []
         last = -1
         for pos in known:
             parent = pos >> 1
             if parent == last:
-                proof.pop()  # pos is the sibling its left neighbour asked for: known, not sent
+                unsend()  # pos is the sibling its left neighbour asked for: known, not sent
             else:
-                proof.append(level[pos ^ 1])
+                send(level[pos ^ 1])
                 parents.append(parent)
                 last = parent
         known = parents
+        t += 1
+    pos = known[0]
+    for level in levels[t:-1]:
+        send(level[pos ^ 1])
+        pos >>= 1
     return proof
 
 

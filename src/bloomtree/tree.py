@@ -197,11 +197,11 @@ def prove(bloom_tree: BloomTree, element: bytes) -> PresenceProof | AbsenceProof
         return AbsenceProof(
             chunk_index=chunk_index,
             chunk=bits[start : start + size],
-            path=tuple(_prove(bloom_tree.tree.levels, [chunk_index])),
+            path=tuple(_prove(bloom_tree.tree, [chunk_index])),
         )
     chunk_indices = _chunk_set(positions, params)
     chunks = tuple([bits[c * size : c * size + size] for c in chunk_indices])
-    multiproof = tuple(_prove(bloom_tree.tree.levels, chunk_indices))
+    multiproof = tuple(_prove(bloom_tree.tree, chunk_indices))
     return PresenceProof(chunk_indices=tuple(chunk_indices), chunks=chunks, multiproof=multiproof)
 
 

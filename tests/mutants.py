@@ -96,6 +96,18 @@ MUTANTS = (
         ("tests/test_tree.py::TestBuild::test_build_of_large_chunks_holds_little_beyond_the_tree",),
     ),
     Mutant(
+        "the prover reads one flat level too many",
+        "levels[: len(levels) - len(tree._digests)]",
+        "levels[: len(levels) - len(tree._digests) + 1]",
+        ("tests/test_merkle_oracle.py::test_dense_and_sparse_extremes_match_the_oracle",),
+    ),
+    Mutant(
+        "the prover reads one flat level too few",
+        "levels[: len(levels) - len(tree._digests)]",
+        "levels[: len(levels) - len(tree._digests) - 1]",
+        ("tests/test_merkle_oracle.py::test_dense_and_sparse_extremes_match_the_oracle",),
+    ),
+    Mutant(
         "insert walks k-1 steps",
         "for x in range(start, start + params.k * step, step):",
         "for x in range(start, start + (params.k - 1) * step, step):",
@@ -208,7 +220,7 @@ MUTANTS = (
     ),
     Mutant(
         "a warm verify skips the rest-of-proof comparison",
-        "return list(proof[cursor:]) == _walk(kept, positions)",
+        "return list(proof[cursor:]) == _walk(kept, positions, [])",
         "return True",
         ("tests/test_tree.py::TestVerify::test_one_digest_replaced_after_every_leaf_was_verified_is_invalid",),
     ),
@@ -339,6 +351,7 @@ EQUIVALENTS = (
     Equivalent("merkle", "", "1 to 2", "(None, -1, None)", "the empty record's depth only has to be no tree's, and all are >= 0"),
     Equivalent("merkle", "_split", "test to False", "count <= _BLOCK_FIELDS", "a short cut: _blocks cuts the same fields"),
     Equivalent("merkle", "_split", "<= to <", "count <= _BLOCK_FIELDS", "a short cut: _blocks cuts the same fields"),
+    Equivalent("merkle", "", "4096 to 4097", "4096 * DIGEST_SIZE", "a level holds a power of two of nodes, so none holds 4,097"),
     Equivalent("merkle", "_prove", "1 to 2", "last = -1", "last starts below every parent position, and all are >= 0"),
     Equivalent("merkle", "_walk", "1 to 2", "last = -1", "last starts below every parent position, and all are >= 0"),
     Equivalent("codec", "_params", "16 to 17", "maxsize=16", "a cache size: a cached record equals a new one"),

@@ -350,13 +350,15 @@ class TestLevelsFile:
         honest = levels_path.read_bytes()
         _, proof = codec.decode_proof(library_proof(filter_file, element))
         digests = proof.path if isinstance(proof, AbsenceProof) else proof.multiproof
-        at = honest.index(digests[0], 37)
-        forged = bytearray(honest)
-        forged[at] ^= 0x01
-        levels_path.write_bytes(bytes(forged))
-        assert prove_file(tmp_path, filter_file, element) == (0, library_proof(filter_file, element))
-        assert levels_path.read_bytes() == honest
-        assert temp_files(tmp_path) == []
+        # The first digest the proof reads and the last, next to the root.
+        for digest in (digests[0], digests[-1]):
+            at = honest.index(digest, 37)
+            forged = bytearray(honest)
+            forged[at] ^= 0x01
+            levels_path.write_bytes(bytes(forged))
+            assert prove_file(tmp_path, filter_file, element) == (0, library_proof(filter_file, element))
+            assert levels_path.read_bytes() == honest
+            assert temp_files(tmp_path) == []
 
     @pytest.mark.parametrize(
         "damage",

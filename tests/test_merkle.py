@@ -1,5 +1,7 @@
 import array
+import copy
 import itertools
+import pickle
 import random
 import sys
 import threading
@@ -11,7 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spec
-from bloomtree import merkle
+from bloomtree import codec, merkle
+from bloomtree.bloom import BloomFilter, BloomParams
 from bloomtree.merkle import (
     MerkleTree,
     build_tree,
@@ -20,6 +23,7 @@ from bloomtree.merkle import (
     verify_multi,
     verify_single,
 )
+from bloomtree.tree import PresenceProof, build, prove
 
 # Computed once with a standalone SHA-256 tool over 0x01 || 0x11*32 || 0x22*32.
 NODE_GOLDEN_AB = "1d8f52d3ec81ac02cd97cb3281523be47af850c0f0295af866f04bc245f46bbf"
@@ -139,6 +143,75 @@ class TestBuildTree:
         for t in range(1, 4):
             for i in range(8 >> t):
                 assert node(tree, t, i) == spec.node(node(tree, t - 1, 2 * i), node(tree, t - 1, 2 * i + 1))
+
+
+class TestDigestTuples:
+    """The top levels a MerkleTree keeps as digest tuples for _prove: cut from its levels, and not a field."""
+
+    @staticmethod
+    def cut(levels):
+        """Each level of at most 4,096 nodes as its 32-byte digests."""
+        return tuple(tuple(level[i : i + 32] for i in range(0, len(level), 32)) for level in levels if len(level) <= 4096 * 32)
+
+    def test_every_tree_holds_its_top_levels_cut_into_digests(self):
+        # 16,384 one-byte chunks: two flat levels below the digest tuples.
+        params = BloomParams(m=1 << 17, k=3, chunk_size=1)
+        built = build(BloomFilter(params, random.Random(60).randbytes(params.byte_length)))
+        data = codec.encode_filter(built)
+        trees = [
+            built.tree,
+            build_tree(leaves_for(8, seed=61)),
+            codec.decode_filter(data).tree,
+            codec._with_levels(data, b"".join(codec._levels_file(data, built))).tree,
+            pickle.loads(pickle.dumps(built.tree)),
+            copy.deepcopy(built.tree),
+        ]
+        for tree in trees:
+            assert tree._digests == self.cut(tree.levels)
+            assert len(tree._digests) == min(len(tree.levels), 13)
+
+    def test_eq_hash_repr_and_pickle_go_by_the_levels_alone(self):
+        tree = build_tree(leaves_for(8, seed=62))
+        other = MerkleTree(tree.levels)
+        object.__setattr__(other, "_digests", ())
+        assert other == tree and hash(other) == hash(tree) == hash(tree.levels)
+        assert repr(other) == repr(tree) == f"MerkleTree(levels={tree.levels!r})"
+        assert pickle.loads(pickle.dumps(other))._digests == tree._digests
+
+    def test_a_deep_tree_holds_at_most_a_mebibyte_of_digest_tuples(self):
+        levels = build_tree(leaves_for(1 << 16, seed=63)).levels
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tree = MerkleTree(levels)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert [len(level) for level in tree._digests] == [4096 >> t for t in range(13)]
+        assert held <= 1 << 20, held
+
+    def test_a_new_tree_evicts_no_proof_layout(self):
+        # Presence round trips at 32-byte chunks on 65,536 chunks, as a server
+        # makes them, fill the layout cache with their chunk and digest counts.
+        # Cutting a new tree's digest tuples must push none of them out: the
+        # same replay then compiles no layout again.
+        params = BloomParams(m=1 << 24, k=12, chunk_size=32)
+        rng = random.Random(64)
+        bits = bytes(a | b | c for a, b, c in zip(*(rng.randbytes(params.byte_length) for _ in range(3))))
+        bloom_tree = build(BloomFilter(params, bits))
+        proofs = [proof for proof in (prove(bloom_tree, rng.randbytes(16)) for _ in range(3000)) if type(proof) is PresenceProof]
+        assert len(proofs) > 400
+
+        def replay():
+            for proof in proofs:
+                codec.decode_proof(codec.encode_proof(params, proof))
+
+        merkle._layout.cache_clear()
+        replay()
+        MerkleTree(bloom_tree.tree.levels)
+        misses = merkle._layout.cache_info().misses
+        replay()
+        assert merkle._layout.cache_info().misses == misses
 
 
 class TestSingleProof:
@@ -561,15 +634,15 @@ class TestKeptLevels:
 
     @given(depth=st.integers(min_value=0, max_value=6), data=st.data())
     def test_the_warm_walk_is_the_provers_schedule(self, depth, data):
-        # On a record holding every node, _walk reads off the same digests as
-        # _prove does from the tree's levels, for any strictly increasing set.
+        # On a record holding every node, _walk reads off the reference
+        # multiproof of the tree's levels, for any strictly increasing set.
         count = 1 << depth
         leaves = leaves_for(count, seed=54 + depth)
         tree = build_tree(leaves)
         assert verify_multi(tree.root, entries_for(leaves, range(count)), count, [])
         kept = merkle._kept_levels(tree.root, depth)
         positions = sorted(data.draw(st.sets(st.integers(0, count - 1), min_size=1)))
-        assert merkle._walk(kept, positions) == merkle._prove(tree.levels, positions)
+        assert merkle._walk(kept, positions, []) == spec.multiproof(spec.levels(leaves), positions)
 
     def test_three_deep_trees_keep_one_record(self):
         # A depth-14 tree keeps its top 14 levels: 2**14 - 1 slots of None,

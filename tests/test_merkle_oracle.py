@@ -15,6 +15,12 @@ DEPTH = 10
 LEAVES = [random.Random(f"oracle-leaf-{i}").randbytes(32) for i in range(LEAF_COUNT)]
 TREE = build_tree(LEAVES)
 LEVELS = spec.levels(LEAVES)
+# A tree deeper than the digest tuples a MerkleTree keeps (levels of at most
+# 4,096 nodes): its proofs start in the two flat levels below them.
+DEEP_COUNT = 1 << 14
+DEEP_LEAVES = [random.Random(f"oracle-deep-leaf-{i}").randbytes(32) for i in range(DEEP_COUNT)]
+DEEP_TREE = build_tree(DEEP_LEAVES)
+DEEP_LEVELS = spec.levels(DEEP_LEAVES)
 
 
 def mutations(entries, proof, rng):
@@ -87,12 +93,36 @@ def test_multiproof_matches_the_oracle(subset, seed):
         assert verify_multi(TREE.root, mutated_entries, LEAF_COUNT, mutated_proof) == expected, name
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.sampled_from([2, 4, 8, 64, DEEP_COUNT]),
+    start=st.integers(0, DEEP_COUNT - 1),
+    data=st.data(),
+)
+def test_multiproof_past_the_digest_tuples_matches_the_oracle(width, start, data):
+    # Leaves drawn from one aligned window of ``width``: the frontier narrows
+    # to one node below the lowest digest tuple (width 2), at it (4) or above it.
+    low = start - start % width
+    subset = data.draw(st.sets(st.integers(low, low + width - 1), min_size=1, max_size=64))
+    indices = sorted(subset)
+    proof = prove_multi(DEEP_TREE, indices)
+    assert proof == spec.multiproof(DEEP_LEVELS, indices)
+    assert verify_multi(DEEP_TREE.root, [(i, DEEP_LEAVES[i]) for i in indices], DEEP_COUNT, proof)
+
+
 def test_dense_and_sparse_extremes_match_the_oracle():
     for indices in ([0], [LEAF_COUNT - 1], list(range(LEAF_COUNT)), list(range(0, LEAF_COUNT, 2)), [511, 512]):
         proof = prove_multi(TREE, indices)
         assert proof == spec.multiproof(LEVELS, indices)
         assert len(proof) <= len(indices) * DEPTH
         assert verify_multi(TREE.root, [(i, LEAVES[i]) for i in indices], LEAF_COUNT, proof)
+    # On the deep tree: one node from the leaf level, below the lowest digest
+    # tuple (level 1), at it (level 2), above it, and no sibling pairs at all.
+    last = DEEP_COUNT - 1
+    for indices in ([5], [6, 7], [4, 7], [0, 8], [0, last], list(range(0, DEEP_COUNT, 4)), list(range(DEEP_COUNT))):
+        proof = prove_multi(DEEP_TREE, indices)
+        assert proof == spec.multiproof(DEEP_LEVELS, indices)
+        assert verify_multi(DEEP_TREE.root, [(i, DEEP_LEAVES[i]) for i in indices], DEEP_COUNT, proof)
 
 
 def test_one_leaf_multiproof_matches_the_oracle_at_every_leaf():
