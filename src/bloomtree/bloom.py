@@ -32,18 +32,21 @@ def _shown(value) -> str:
 
 
 class _Frozen:
-    """Base of the library's records: ==, hash and repr over the fields in __slots__, none of which can be set.
+    """Base of the library's records: ==, hash and repr over their fields, none of which can be set.
 
     A subclass lists its fields in __slots__ and sets them in __init__ with
-    object.__setattr__. copy and pickle rebuild a record through its
-    constructor, as their default restore would set the slots.
+    object.__setattr__. A slot whose name starts with "_" is not a field:
+    ==, hash, repr, copy and pickle leave it out. copy and pickle rebuild a
+    record through its constructor, as their default restore would set the
+    slots.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
+        cls._fields = tuple([name for name in cls.__slots__ if not name.startswith("_")])
         # One C-level read of the fields for == and hash: a tuple, or the one field itself.
-        cls._key = operator.attrgetter(*cls.__slots__)
+        cls._key = operator.attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -55,11 +58,11 @@ class _Frozen:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+        return type(self), tuple([getattr(self, name) for name in self._fields])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -5,15 +5,27 @@ Exit codes: 0 success or valid proof, 1 invalid proof, 2 usage error,
 
 Elements are passed as UTF-8 text on the command line (or as raw file
 contents with --element-file); the library itself accepts arbitrary bytes.
+
+``bloomtree prove`` keeps the tree of a filter file F beside it, in a levels
+file ``F.levels`` that only this module writes and reads::
+
+    "BLLV" | version u8 | SHA-256 of F's bytes (32) | levels, leaves first, root last
+
+It holds every level of F's tree, each laid out as in MerkleTree.levels. It
+is read only if it is a regular file of exactly that length under that key,
+and nothing else in it is checked: a proof read from it is used only if it
+verifies against F's stored root.
 """
 
 import argparse
+import hashlib
 import os
 import stat
 import sys
 
 from . import codec
 from .bloom import BloomFilter, derive_params, fpr, optimal_bit_count
+from .merkle import DIGEST_SIZE, MerkleTree
 from .tree import AbsenceProof, BloomTree, Verdict, build, prove, verify
 
 EXIT_OK = 0
@@ -154,59 +166,74 @@ def _cmd_prove(args) -> int:
     with open(args.filter, "rb") as handle:
         data = handle.read()
     element = _element_bytes(args)
+    params, bits, root = codec._filter_fields(data)
     levels_path = args.filter + ".levels"
-    bloom_tree = codec._with_levels(data, _read_levels(levels_path, 64 * len(data)))
-    proof = None if bloom_tree is None else prove(bloom_tree, element)
-    # Kept levels are vouched for by one thing: the proof read from them verifies against the stored root.
-    if proof is None or not verify(bloom_tree.root, bloom_tree.filter.params, element, proof).is_valid:
-        bloom_tree = _decode_and_keep(data, levels_path)
+    head = _levels_head(data)
+    levels = _read_levels(levels_path, head, params.depth)
+    if levels is not None:
+        bloom_tree = BloomTree(filter=BloomFilter(params, bits), tree=MerkleTree(levels))
+        proof = prove(bloom_tree, element)
+    # A levels file is vouched for by one thing: the proof read from it verifies against F's stored root.
+    if levels is None or not verify(root, params, element, proof).is_valid:
+        bloom_tree = codec.decode_filter(data)
+        _write_levels(levels_path, head, bloom_tree.tree.levels)
         proof = prove(bloom_tree, element)
     with open(args.out, "wb") as handle:
-        handle.write(codec.encode_proof(bloom_tree.filter.params, proof))
+        handle.write(codec.encode_proof(params, proof))
     print("absence" if isinstance(proof, AbsenceProof) else "presence")
     return EXIT_OK
 
 
-def _read_levels(path: str, limit: int) -> bytes:
-    """The levels file, cut at its stated size or at ``limit``; no bytes if it cannot be read.
+def _levels_head(data: bytes) -> bytes:
+    """The header of filter file ``data``'s levels file: magic, version and key."""
+    return b"BLLV" + bytes([codec.VERSION]) + hashlib.sha256(data).digest()
 
-    A filter file's levels file is shorter than 64 bytes per byte of it, so
-    a file cut at 64 times that reads as the wrong length, a miss. The read
-    asks for the stated size, as a read of ``limit`` bytes would allocate
-    them all first. The open does not wait for a writer, as a plain open of a
-    FIFO would, and anything but a regular file, such as a FIFO or a device,
-    reads as no bytes.
+
+def _read_levels(path: str, head: bytes, depth: int) -> tuple[bytes, ...] | None:
+    """The levels in the levels file at ``path``: None unless it is ``head`` and then a tree of 2**depth leaves.
+
+    Only a regular file is read, and only one of exactly that length is
+    taken. The open does not wait for a writer, as a plain open of a FIFO
+    would; a FIFO or a device is a miss. The read asks for one byte past
+    that length, so a longer file reads as the wrong length without being
+    read whole.
     """
+    size = len(head) + (DIGEST_SIZE << (depth + 1)) - DIGEST_SIZE
     try:
         with open(path, "rb", opener=_open_nonblocking) as handle:
-            status = os.fstat(handle.fileno())
-            return handle.read(min(status.st_size, limit)) if stat.S_ISREG(status.st_mode) else b""
+            levels_file = handle.read(size + 1) if stat.S_ISREG(os.fstat(handle.fileno()).st_mode) else b""
     except OSError:
-        return b""
+        return None
+    if len(levels_file) != size or not levels_file.startswith(head):
+        return None
+    levels = []
+    at = len(head)
+    for t in range(depth, -1, -1):
+        levels.append(levels_file[at : at + (DIGEST_SIZE << t)])
+        at += DIGEST_SIZE << t
+    return tuple(levels)
 
 
 def _open_nonblocking(path: str, flags: int) -> int:
     return os.open(path, flags | getattr(os, "O_NONBLOCK", 0))  # a platform without it has no FIFOs to wait on
 
 
-def _decode_and_keep(data: bytes, levels_path: str) -> BloomTree:
-    """decode_filter, then its levels written to ``levels_path`` through a temp file; a failed write is no error."""
-    bloom_tree = codec.decode_filter(data)
-    temp = f"{levels_path}.{os.getpid()}.tmp"
+def _write_levels(path: str, head: bytes, levels: tuple[bytes, ...]) -> None:
+    """Write the levels file ``head`` and ``levels`` to ``path`` through a temp file; a failed write is no error."""
+    temp = f"{path}.{os.getpid()}.tmp"
     try:
         handle = open(temp, "xb")
     except OSError:
-        return bloom_tree  # not writable here, or a file of that name this process did not make
+        return  # not writable here, or a file of that name this process did not make
     try:
         with handle:
-            handle.writelines(codec._levels_file(data, bloom_tree))
-        os.replace(temp, levels_path)
+            handle.writelines((head, *levels))
+        os.replace(temp, path)
     except OSError:
         try:
             os.remove(temp)
         except OSError:
             pass
-    return bloom_tree
 
 
 def _cmd_verify(args) -> int:

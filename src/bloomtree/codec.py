@@ -27,16 +27,6 @@ ones; `verify --root` takes them on trust, and the root does not commit to k.
 Trailing bytes are always an error, and every length field is validated
 against the remaining input before anything is sliced out.
 
-Levels file (private to the CLI, which keeps one beside a filter file F as
-``F.levels`` for ``bloomtree prove``)::
-
-    "BLLV" | version u8 | SHA-256 of F's bytes (32) | levels, leaves first, root last
-
-It holds every level of F's tree, each laid out as in MerkleTree.levels. It
-stands for F only if the key is the SHA-256 of F's bytes, its length is exact
-and its root is F's stored root; nothing else in it is checked, so a caller
-checks what it reads of it against the stored root.
-
 Each fixed header is read and written with one precompiled struct: the
 21-byte filter header ``_FILTER_HEAD`` (``<4sBQII``) and the 22-byte proof
 header ``_PROOF_HEAD`` (``<4sBBQII``), which an absence proof's encoder packs
@@ -46,11 +36,10 @@ bounds-checks each variable section once before slicing it.
 """
 
 import functools
-import hashlib
 import struct
 
 from .bloom import BloomFilter, BloomParams
-from .merkle import DIGEST_SIZE, MerkleTree, _split
+from .merkle import DIGEST_SIZE, _split
 from .tree import AbsenceProof, BloomTree, PresenceProof, build
 
 FILTER_MAGIC = b"BLTR"
@@ -65,7 +54,6 @@ Proof = PresenceProof | AbsenceProof
 _FILTER_HEAD = struct.Struct("<4sBQII")  # magic | version u8 | m u64 | k u32 | chunk_size u32
 _PROOF_HEAD = struct.Struct("<4sBBQII")  # magic | version u8 | kind u8 | m u64 | k u32 | chunk_size u32
 _ABSENCE_HEAD = struct.Struct("<4sBBQIIQ")  # the proof header, then an absence proof's chunk index
-_LEVELS_HEAD = struct.Struct("<4sB32s")  # "BLLV" | version u8 | SHA-256 of the filter file
 _COUNT = struct.Struct("<H")
 _INDEX = struct.Struct("<Q")
 
@@ -126,38 +114,6 @@ def _filter_fields(data: bytes) -> tuple[BloomParams, bytes, bytes]:
     if end != have:
         raise TrailingBytes(f"{have - end} unexpected trailing bytes")
     return params, data[at : at + size], data[at + size :]
-
-
-def _levels_head(data: bytes) -> bytes:
-    """The header of the levels file of filter file ``data``: magic, version and key."""
-    return _LEVELS_HEAD.pack(b"BLLV", VERSION, hashlib.sha256(data).digest())
-
-
-def _levels_file(data: bytes, bloom_tree: BloomTree) -> tuple[bytes, ...]:
-    """The levels file of filter file ``data``, whose tree is ``bloom_tree``, as its header and then its levels."""
-    return (_levels_head(data), *bloom_tree.tree.levels)
-
-
-def _with_levels(data: bytes, levels_file: bytes) -> BloomTree | None:
-    """decode_filter's tree, its levels cut from ``levels_file`` and not hashed; None if that is not data's levels file.
-
-    The filter file's fields are checked as decode_filter checks them, and
-    the levels file's header, key, length and root as the module docstring
-    says. The other digests are taken as they are.
-    """
-    params, bits, root = _filter_fields(data)
-    width = params.chunk_count * DIGEST_SIZE
-    at = _LEVELS_HEAD.size
-    if len(levels_file) != at + 2 * width - DIGEST_SIZE or levels_file[-DIGEST_SIZE:] != root:
-        return None
-    if levels_file[:at] != _levels_head(data):
-        return None
-    levels = []
-    while width >= DIGEST_SIZE:
-        levels.append(levels_file[at : at + width])
-        at += width
-        width >>= 1
-    return BloomTree(filter=BloomFilter(params, bits), tree=MerkleTree(levels=tuple(levels)))
 
 
 def encode_proof(params: BloomParams, proof: Proof) -> bytes:

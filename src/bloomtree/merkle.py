@@ -34,25 +34,21 @@ _NODE_PREFIX = b"\x01"
 _BLOCK_FIELDS = 256
 _BLOCK_BYTES = 64 * 1024
 _LAYOUTS_KEPT = 128  # a layout keeps about 35 bytes per field: at most about 1.2 MB in all
-# A MerkleTree keeps each level of at most this many bytes as a tuple of digests too; see MerkleTree.
-_DIGEST_LEVEL_BYTES = 4096 * DIGEST_SIZE
+
+# The top levels of a tree (all of a shallower one) that _walk reads as
+# digests by index: a MerkleTree's digest tuples and the verifier's record.
+# The levels below them are read as flat buffers, by _prove and by _fold.
+_KEPT_LEVELS = 14
 
 # The record of _verify_leaves: (root, depth, levels) of the tree it verified
-# last. levels holds its top _KEPT_LEVELS levels (all of a shallower tree),
-# leaves first and the root last, as one list per level: node i of a level is
-# its slot i, one 32-byte bytes, or None where no verified fold has shown it.
-# A new record is 2**14 - 1 slots of None, 128 KiB; a full one, about 1.4 MB.
-_KEPT_LEVELS = 14
+# last. levels holds its top _KEPT_LEVELS levels, leaves first and the root
+# last, as one list per level: node i of a level is its slot i, one 32-byte
+# bytes, or None where no verified fold has shown it. A new record is
+# 2**14 - 1 slots of None, 128 KiB; a full one, about 1.4 MB.
 _kept: tuple = (None, -1, None)
 
 
-class _DigestSlot:
-    """The slot of a MerkleTree's digest tuples, outside the fields _Frozen compares, hashes and prints."""
-
-    __slots__ = ("_digests",)
-
-
-class MerkleTree(_DigestSlot, _Frozen):
+class MerkleTree(_Frozen):
     """All levels of a complete binary Merkle tree.
 
     levels[0] holds the 2^L leaves, levels[t] the 2^(L-t) nodes of level t,
@@ -61,18 +57,19 @@ class MerkleTree(_DigestSlot, _Frozen):
     safe to share across threads. A build hashes each level in blocks; see
     _blocks for what it holds beyond the levels.
 
-    The constructor also cuts each level of at most 4,096 nodes into a tuple
-    of digests, which _prove reads through _walk. These top levels are not a
-    field: ==, hash, repr, copy and pickle go by ``levels`` alone. They hold
-    at most 8,191 digests, about 0.6 MB, for a tree of any depth.
+    The tree's first proof cuts its top _KEPT_LEVELS levels into tuples of
+    digests, which _prove reads through _walk: at most 2**14 - 1 digests,
+    about 1.2 MB, for a tree of any depth. They are held in ``_digests``,
+    None until then, which is not a field: ==, hash, repr, copy and pickle
+    go by ``levels`` alone. Threads that make a tree's first proofs at once
+    may each cut them; the tuples are equal, and one of them is kept.
     """
 
-    __slots__ = ("levels",)
+    __slots__ = ("levels", "_digests")
 
     def __init__(self, levels: tuple[bytes, ...]) -> None:
         object.__setattr__(self, "levels", levels)
-        top = [_split(level, DIGEST_SIZE) for level in levels if len(level) <= _DIGEST_LEVEL_BYTES]
-        object.__setattr__(self, "_digests", tuple(top))
+        object.__setattr__(self, "_digests", None)
 
     @property
     def leaf_count(self) -> int:
@@ -191,14 +188,19 @@ def prove_multi(tree: MerkleTree, leaf_indices: Sequence[int]) -> list[Digest]:
 def _prove(tree: MerkleTree, known: list[int]) -> list[Digest]:
     """prove_multi over ``tree``, for leaf indices its caller has checked.
 
-    The frontier loop cuts each digest out of a flat level below the tree's
-    digest tuples; from there _walk reads the rest of the schedule off them.
+    The frontier loop cuts each digest out of a flat level below the top
+    _KEPT_LEVELS; from there _walk reads the rest of the schedule off the
+    tree's digest tuples, which the tree's first proof cuts.
     """
     size = DIGEST_SIZE
     proof = []
     send, unsend = proof.append, proof.pop
     levels = tree.levels
-    for level in levels[: len(levels) - len(tree._digests)]:
+    digests = tree._digests
+    if digests is None:
+        digests = tuple([_split(level, size) for level in levels[-_KEPT_LEVELS:]])
+        object.__setattr__(tree, "_digests", digests)
+    for level in levels[:-_KEPT_LEVELS]:
         parents = []
         last = -1
         for pos in known:
@@ -211,7 +213,7 @@ def _prove(tree: MerkleTree, known: list[int]) -> list[Digest]:
                 parents.append(parent)
                 last = parent
         known = parents
-    return _walk(tree._digests, known, proof)
+    return _walk(digests, known, proof)
 
 
 def verify_multi(
@@ -340,9 +342,9 @@ def _kept_levels(root: Digest, depth: int) -> list | None:
 def _walk(levels: Sequence[Sequence[Digest]], known: Sequence[int], proof: list[Digest]) -> list[Digest]:
     """Append to ``proof`` the multiproof schedule from frontier ``known`` at levels[0], each digest read by index.
 
-    The one reader of digest lists: levels are a MerkleTree's digest tuples
-    (at most 8,191 digests, about 0.6 MB) or the verifier's record (at most
-    2**14 - 1 slots, about 1.4 MB full), the root level last. The nodes read
+    The one reader of digest lists: levels are the top _KEPT_LEVELS levels
+    of a tree, a MerkleTree's digest tuples or the verifier's record (at
+    most 2**14 - 1 digests each), the root level last. The nodes read
     are the siblings of the frontier and of its ancestors. Once the frontier
     is one node, the rest is its sibling path.
     """

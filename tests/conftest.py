@@ -9,9 +9,6 @@ _SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from bloomtree.bloom import BloomFilter, BloomParams  # noqa: E402
-from bloomtree.tree import build, prove  # noqa: E402
-
 
 @pytest.fixture(scope="session")
 def echoed_k_forgery():
@@ -23,6 +20,11 @@ def echoed_k_forgery():
     Returns the honest tree over 20 inserted elements and one
     (echoed params, element, proof) triple per element and echoed k.
     """
+    # Imported here, not at the top: a bloomtree that fails to import then
+    # fails each test module that imports it, not the loading of this file.
+    from bloomtree.bloom import BloomFilter, BloomParams
+    from bloomtree.tree import build, prove
+
     params = BloomParams(m=512, k=18, chunk_size=8)
     rng = random.Random(0)
     inserted = [rng.randbytes(12) for _ in range(20)]

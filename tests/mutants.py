@@ -97,14 +97,14 @@ MUTANTS = (
     ),
     Mutant(
         "the prover reads one flat level too many",
-        "levels[: len(levels) - len(tree._digests)]",
-        "levels[: len(levels) - len(tree._digests) + 1]",
+        "for level in levels[:-_KEPT_LEVELS]:",
+        "for level in levels[: 1 - _KEPT_LEVELS]:",
         ("tests/test_merkle_oracle.py::test_dense_and_sparse_extremes_match_the_oracle",),
     ),
     Mutant(
         "the prover reads one flat level too few",
-        "levels[: len(levels) - len(tree._digests)]",
-        "levels[: len(levels) - len(tree._digests) - 1]",
+        "for level in levels[:-_KEPT_LEVELS]:",
+        "for level in levels[: -_KEPT_LEVELS - 1]:",
         ("tests/test_merkle_oracle.py::test_dense_and_sparse_extremes_match_the_oracle",),
     ),
     Mutant(
@@ -278,7 +278,7 @@ MUTANTS = (
     ),
     Mutant(
         "copy and pickle restore records through setattr",
-        "    def __reduce__(self):\n        return type(self), tuple([getattr(self, name) for name in self.__slots__])\n\n",
+        "    def __reduce__(self):\n        return type(self), tuple([getattr(self, name) for name in self._fields])\n\n",
         "",
         ("tests/test_values.py::test_value_semantics",),
     ),
@@ -311,17 +311,23 @@ MUTANTS = (
     ),
     Mutant(
         "a levels file is taken without comparing its key with the filter's SHA-256",
-        "if levels_file[:at] != _levels_head(data):",
-        "if levels_file[:at - DIGEST_SIZE] != _levels_head(data)[:-DIGEST_SIZE]:",
+        "not levels_file.startswith(head)",
+        "not levels_file.startswith(head[:5])",
         ("tests/test_cli.py::TestLevelsFile::test_a_changed_filter_is_refused_as_before",),
     ),
     Mutant(
         "a failed self-check exits instead of rebuilding the tree",
-        "        bloom_tree = _decode_and_keep(data, levels_path)\n",
-        "        if proof is not None:\n"
+        "        bloom_tree = codec.decode_filter(data)\n",
+        "        if levels is not None:\n"
         '            raise codec.RootMismatch("the proof read from the kept levels does not verify")\n'
-        "        bloom_tree = _decode_and_keep(data, levels_path)\n",
+        "        bloom_tree = codec.decode_filter(data)\n",
         ("tests/test_cli.py::TestLevelsFile::test_a_wrong_digest_on_the_proof_path_is_repaired",),
+    ),
+    Mutant(
+        "a hit is checked against the levels file's own root",
+        "not verify(root, params, element, proof)",
+        "not verify(bloom_tree.root, params, element, proof)",
+        ("tests/test_cli.py::TestLevelsFile::test_a_damaged_levels_file_gives_the_same_bytes[another tree]",),
     ),
     Mutant(
         "prove waits in open() for a writer to a FIFO at the levels path",
@@ -351,17 +357,16 @@ EQUIVALENTS = (
     Equivalent("merkle", "", "1 to 2", "(None, -1, None)", "the empty record's depth only has to be no tree's, and all are >= 0"),
     Equivalent("merkle", "_split", "test to False", "count <= _BLOCK_FIELDS", "a short cut: _blocks cuts the same fields"),
     Equivalent("merkle", "_split", "<= to <", "count <= _BLOCK_FIELDS", "a short cut: _blocks cuts the same fields"),
-    Equivalent("merkle", "", "4096 to 4097", "4096 * DIGEST_SIZE", "a level holds a power of two of nodes, so none holds 4,097"),
     Equivalent("merkle", "_prove", "1 to 2", "last = -1", "last starts below every parent position, and all are >= 0"),
     Equivalent("merkle", "_walk", "1 to 2", "last = -1", "last starts below every parent position, and all are >= 0"),
     Equivalent("codec", "_params", "16 to 17", "maxsize=16", "a cache size: a cached record equals a new one"),
-    Equivalent("cli", "_cmd_prove", "64 to 65", "64 * len(data)", "a levels file is under 64 bytes per filter byte, so it reads whole"),
+    Equivalent("cli", "_read_levels", "1 to 2", "size + 1", "a read of any more than size bytes tells a longer file by its length"),
     Equivalent(
         "cli",
         "_read_levels",
         "to its body",
-        "handle.read(min(status.st_size, limit)) if stat.S_ISREG(status.st_mode) else b''",
-        "on Linux a FIFO or a device states size 0, so its read asks for no bytes",
+        "handle.read(size + 1) if stat.S_ISREG(os.fstat(handle.fileno()).st_mode) else b''",
+        "on Linux a FIFO with no writer reads as no bytes, and no device holds the key",
     ),
     Equivalent("cli", "_open_nonblocking", "0 to 1", "getattr(os, 'O_NONBLOCK', 0)", "the default is for a platform without O_NONBLOCK, and every POSIX one has it"),
 )

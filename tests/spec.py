@@ -94,7 +94,8 @@ def multiproof(tree_levels, positions):
     """The prover: level by level, left to right, each known node's sibling that is not itself known."""
     proof = []
     for level in tree_levels[:-1]:
-        proof += [level[pos ^ 1] for pos in positions if pos ^ 1 not in positions]
+        known = set(positions)
+        proof += [level[pos ^ 1] for pos in positions if pos ^ 1 not in known]
         positions = sorted({pos >> 1 for pos in positions})
     return proof
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spec
-from bloomtree import codec
+from bloomtree import cli, codec
 from bloomtree.bloom import BloomFilter, derive_params
 from bloomtree.cli import main
 from bloomtree.tree import AbsenceProof, build, prove
@@ -335,8 +335,8 @@ class TestLevelsFile:
         changed = flip_chunk_bit(filter_file.read_bytes(), unread_chunk(filter_file, b"alpha"))
         filter_file.write_bytes(changed)
         params, bits, _ = codec._filter_fields(changed)
-        levels_file = codec._levels_file(changed, build(BloomFilter(params, bits)))
-        (tmp_path / "filter.blt.levels").write_bytes(b"".join(levels_file))
+        levels = build(BloomFilter(params, bits)).tree.levels
+        (tmp_path / "filter.blt.levels").write_bytes(cli._levels_head(changed) + b"".join(levels))
         capsys.readouterr()
         assert run_cli("root", "--filter", str(filter_file)) == 3
         assert "stored root does not match" in capsys.readouterr().err

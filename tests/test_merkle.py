@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spec
-from bloomtree import codec, merkle
+from bloomtree import cli, codec, merkle
 from bloomtree.bloom import BloomFilter, BloomParams
 from bloomtree.merkle import (
     MerkleTree,
@@ -146,55 +146,107 @@ class TestBuildTree:
 
 
 class TestDigestTuples:
-    """The top levels a MerkleTree keeps as digest tuples for _prove: cut from its levels, and not a field."""
+    """The top levels a MerkleTree's first proof cuts into digest tuples for _prove, which are not a field."""
 
     @staticmethod
     def cut(levels):
-        """Each level of at most 4,096 nodes as its 32-byte digests."""
-        return tuple(tuple(level[i : i + 32] for i in range(0, len(level), 32)) for level in levels if len(level) <= 4096 * 32)
+        """The top 14 levels (all of a shallower tree) as their 32-byte digests."""
+        return tuple(tuple(level[i : i + 32] for i in range(0, len(level), 32)) for level in levels[-14:])
 
-    def test_every_tree_holds_its_top_levels_cut_into_digests(self):
-        # 16,384 one-byte chunks: two flat levels below the digest tuples.
-        params = BloomParams(m=1 << 17, k=3, chunk_size=1)
+    def test_every_tree_holds_its_top_levels_cut_into_digests(self, tmp_path):
+        # 32,768 one-byte chunks: two flat levels below the digest tuples. Each
+        # tree holds none until its first proof, pickled and copied ones too.
+        params = BloomParams(m=1 << 18, k=3, chunk_size=1)
         built = build(BloomFilter(params, random.Random(60).randbytes(params.byte_length)))
         data = codec.encode_filter(built)
+        head = cli._levels_head(data)
+        levels_path = tmp_path / "filter.blt.levels"
+        levels_path.write_bytes(head + b"".join(built.tree.levels))
+        assert built.tree._digests is None
+        prove_multi(built.tree, [0])
         trees = [
             built.tree,
+            build(built.filter).tree,
             build_tree(leaves_for(8, seed=61)),
             codec.decode_filter(data).tree,
-            codec._with_levels(data, b"".join(codec._levels_file(data, built))).tree,
+            MerkleTree(cli._read_levels(str(levels_path), head, params.depth)),
             pickle.loads(pickle.dumps(built.tree)),
             copy.deepcopy(built.tree),
         ]
+        for tree in trees[1:]:
+            assert tree._digests is None
+            prove_multi(tree, [tree.leaf_count - 1])
         for tree in trees:
-            assert tree._digests == self.cut(tree.levels)
-            assert len(tree._digests) == min(len(tree.levels), 13)
+            held = tree._digests
+            assert held == self.cut(tree.levels)
+            assert len(held) == min(len(tree.levels), 14)
+            prove_multi(tree, [0])
+            assert tree._digests is held
 
     def test_eq_hash_repr_and_pickle_go_by_the_levels_alone(self):
         tree = build_tree(leaves_for(8, seed=62))
         other = MerkleTree(tree.levels)
-        object.__setattr__(other, "_digests", ())
+        prove_multi(other, [3])
+        assert other._digests is not None and tree._digests is None
         assert other == tree and hash(other) == hash(tree) == hash(tree.levels)
         assert repr(other) == repr(tree) == f"MerkleTree(levels={tree.levels!r})"
-        assert pickle.loads(pickle.dumps(other))._digests == tree._digests
+        assert pickle.loads(pickle.dumps(other))._digests is None
 
-    def test_a_deep_tree_holds_at_most_a_mebibyte_of_digest_tuples(self):
-        levels = build_tree(leaves_for(1 << 16, seed=63)).levels
+    def test_a_deep_tree_holds_at_most_a_mebibyte_and_a_quarter_of_digest_tuples(self):
+        # Measured across the first proof, which cuts the tuples: 2**14 - 1 digests.
+        tree = build_tree(leaves_for(1 << 16, seed=63))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            tree = MerkleTree(levels)
+            proof = prove_multi(tree, [0])
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert [len(level) for level in tree._digests] == [4096 >> t for t in range(13)]
-        assert held <= 1 << 20, held
+        assert len(proof) == 16
+        assert [len(level) for level in tree._digests] == [8192 >> t for t in range(14)]
+        assert held <= 1.25 * 1024 * 1024, held
+
+    def test_threads_making_a_fresh_trees_first_proofs_get_the_reference_proofs(self):
+        # Four threads, more than the cores, switching as often as the
+        # interpreter allows, start proving from one fresh tree at once, so
+        # more than one may cut its digest tuples.
+        count = 1 << 15
+        leaves = leaves_for(count, seed=65)
+        levels = build_tree(leaves).levels
+        subsets = [[0], [1, 2], [5, 9000, count - 1], list(range(3, count, 1021))]
+        expected = [spec.multiproof(spec.levels(leaves), subset) for subset in subsets]
+        failures = []
+        finished = []
+
+        def run(tree, barrier, seed):
+            order = random.Random(seed).sample(range(len(subsets)), len(subsets))
+            barrier.wait(timeout=60)
+            for n in order:
+                if prove_multi(tree, subsets[n]) != expected[n]:
+                    failures.append(subsets[n])
+            finished.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for number in range(5):
+                tree = MerkleTree(levels)
+                barrier = threading.Barrier(4)
+                threads = [threading.Thread(target=run, args=(tree, barrier, 4 * number + n)) for n in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(finished) == list(range(20))
+        assert not failures
 
     def test_a_new_tree_evicts_no_proof_layout(self):
         # Presence round trips at 32-byte chunks on 65,536 chunks, as a server
         # makes them, fill the layout cache with their chunk and digest counts.
-        # Cutting a new tree's digest tuples must push none of them out: the
-        # same replay then compiles no layout again.
+        # Cutting a new tree's digest tuples, on its first proof, must push
+        # none of them out: the same replay then compiles no layout again.
         params = BloomParams(m=1 << 24, k=12, chunk_size=32)
         rng = random.Random(64)
         bits = bytes(a | b | c for a, b, c in zip(*(rng.randbytes(params.byte_length) for _ in range(3))))
@@ -208,7 +260,7 @@ class TestDigestTuples:
 
         merkle._layout.cache_clear()
         replay()
-        MerkleTree(bloom_tree.tree.levels)
+        prove_multi(MerkleTree(bloom_tree.tree.levels), [0])
         misses = merkle._layout.cache_info().misses
         replay()
         assert merkle._layout.cache_info().misses == misses
@@ -646,23 +698,39 @@ class TestKeptLevels:
 
     def test_three_deep_trees_keep_one_record(self):
         # A depth-14 tree keeps its top 14 levels: 2**14 - 1 slots of None,
-        # 128 KiB, of which three verifies fill a few dozen.
+        # 128 KiB, of which three verifies fill a few dozen. The proofs are
+        # made first, as a tree's first proof cuts its own digest tuples.
         count = 1 << 14
-        trees = []
+        cases = []
         for seed in (45, 46, 47):
             leaves = leaves_for(count, seed=seed)
-            trees.append((leaves, build_tree(leaves)))
+            tree = build_tree(leaves)
+            cases += [(tree.root, [(i, leaves[i])], prove_multi(tree, [i])) for i in (0, 5000, count - 1)]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for leaves, tree in trees:
-                for i in (0, 5000, count - 1):
-                    assert verify_multi(tree.root, [(i, leaves[i])], count, prove_multi(tree, [i]))
+            for root, entries, proof in cases:
+                assert verify_multi(root, entries, count, proof)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert merkle._kept_levels(trees[-1][1].root, 14) is not None
+        assert merkle._kept_levels(cases[-1][0], 14) is not None
         assert retained < 300 * 1024
+
+    def test_the_provers_digest_tuples_are_the_levels_the_record_keeps(self):
+        # At every depth up to 16, the prover cuts into tuples just the levels
+        # the verifier keeps, so its flat levels are those the verifier folds
+        # below its record; and the record holds only the tuples' digests.
+        for depth in range(17):
+            count = 1 << depth
+            leaves = leaves_for(count, seed=depth)
+            tree = build_tree(leaves)
+            assert verify_multi(tree.root, [(0, leaves[0])], count, prove_multi(tree, [0]))
+            kept = merkle._kept_levels(tree.root, depth)
+            assert [len(level) for level in kept] == [len(level) for level in tree._digests], depth
+            assert len(tree.levels) - len(kept) == max(depth + 1 - 14, 0), depth
+            for held, cut in zip(kept, tree._digests):
+                assert all(digest is None or digest == cut[i] for i, digest in enumerate(held))
 
     def test_threads_sharing_the_record_get_the_cold_verdicts(self):
         # Four threads, more than the cores, switching as often as the

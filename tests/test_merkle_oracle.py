@@ -15,9 +15,9 @@ DEPTH = 10
 LEAVES = [random.Random(f"oracle-leaf-{i}").randbytes(32) for i in range(LEAF_COUNT)]
 TREE = build_tree(LEAVES)
 LEVELS = spec.levels(LEAVES)
-# A tree deeper than the digest tuples a MerkleTree keeps (levels of at most
-# 4,096 nodes): its proofs start in the two flat levels below them.
-DEEP_COUNT = 1 << 14
+# A tree deeper than the digest tuples a MerkleTree's first proof cuts (its
+# top 14 levels): its proofs start in the two flat levels below them.
+DEEP_COUNT = 1 << 15
 DEEP_LEAVES = [random.Random(f"oracle-deep-leaf-{i}").randbytes(32) for i in range(DEEP_COUNT)]
 DEEP_TREE = build_tree(DEEP_LEAVES)
 DEEP_LEVELS = spec.levels(DEEP_LEAVES)
