@@ -194,24 +194,23 @@ def _read_levels(path: str, head: bytes, depth: int) -> tuple[bytes, ...] | None
 
     Only a regular file is read, and only one of exactly that length is
     taken. The open does not wait for a writer, as a plain open of a FIFO
-    would; a FIFO or a device is a miss. The read asks for one byte past
-    that length, so a longer file reads as the wrong length without being
-    read whole.
+    would; a FIFO or a device is a miss. The head is read first, then each
+    level with its own read, so no level is copied out of a whole-file
+    buffer; a short level is a miss, and so is a byte past the root, read
+    without reading the rest of a longer file.
     """
-    size = len(head) + (DIGEST_SIZE << (depth + 1)) - DIGEST_SIZE
+    sizes = [DIGEST_SIZE << t for t in range(depth, -1, -1)]
     try:
         with open(path, "rb", opener=_open_nonblocking) as handle:
-            levels_file = handle.read(size + 1) if stat.S_ISREG(os.fstat(handle.fileno()).st_mode) else b""
+            if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode) or handle.read(len(head)) != head:
+                return None
+            levels = tuple([handle.read(size) for size in sizes])
+            longer = handle.read(1)
     except OSError:
         return None
-    if len(levels_file) != size or not levels_file.startswith(head):
+    if longer or list(map(len, levels)) != sizes:
         return None
-    levels = []
-    at = len(head)
-    for t in range(depth, -1, -1):
-        levels.append(levels_file[at : at + (DIGEST_SIZE << t)])
-        at += DIGEST_SIZE << t
-    return tuple(levels)
+    return levels
 
 
 def _open_nonblocking(path: str, flags: int) -> int:

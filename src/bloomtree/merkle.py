@@ -3,7 +3,9 @@ index-free multiproof.
 
 Internal nodes are hashed with a 0x01 domain prefix (leaves are committed
 elsewhere with 0x00) so a leaf preimage can never be mistaken for a node
-preimage.
+preimage. The prefix is absorbed once, into _NODE_STATE, which is never fed:
+each node hash copies it and feeds the copy the node's two children, so no
+preimage is built with its prefix.
 
 The multiproof transmits sibling digests only, no positions. Prover and
 verifier replay the identical schedule: walk the frontier of known node
@@ -29,7 +31,9 @@ DIGEST_SIZE = 32
 
 Digest = bytes
 
-_NODE_PREFIX = b"\x01"
+# SHA-256 that has absorbed the node prefix 0x01. Only ever copied, so
+# threads may hash from it at once.
+_NODE_STATE = hashlib.sha256(b"\x01")
 # A block is at most _BLOCK_FIELDS fields and at most _BLOCK_BYTES bytes; see _blocks.
 _BLOCK_FIELDS = 256
 _BLOCK_BYTES = 64 * 1024
@@ -99,16 +103,25 @@ def build_tree(leaves: Sequence[Digest]) -> MerkleTree:
 def _tree_over(leaf_level: bytes) -> MerkleTree:
     """The tree whose leaf level is ``leaf_level``, a power-of-two number of digests.
 
-    Each level above is SHA-256(0x01 || pair) of each 64-byte pair of the
-    level below, hashed straight from its block's one cut.
+    Each level above is the node digest of each 64-byte pair of the level
+    below, hashed straight from its block's one cut.
     """
-    sha256 = hashlib.sha256
-    prefix = _NODE_PREFIX
     levels = [leaf_level]
     while len(levels[-1]) > DIGEST_SIZE:
         blocks = _blocks(levels[-1], 2 * DIGEST_SIZE)
-        levels.append(b"".join([b"".join([sha256(prefix + pair).digest() for pair in pairs]) for _, pairs in blocks]))
+        levels.append(b"".join([b"".join(_node_hashes(pairs)) for _, pairs in blocks]))
     return MerkleTree(levels=tuple(levels))
+
+
+def _node_hashes(pairs) -> list[Digest]:
+    """SHA-256(0x01 || pair) of each 64-byte pair of children, in order, each from a copy of _NODE_STATE."""
+    copy = _NODE_STATE.copy
+    digests = []
+    for pair in pairs:
+        state = copy()
+        state.update(pair)
+        digests.append(state.digest())
+    return digests
 
 
 def _blocks(buffer: bytes, width: int) -> Iterator[tuple[int, tuple[bytes, ...]]]:
@@ -120,8 +133,8 @@ def _blocks(buffer: bytes, width: int) -> Iterator[tuple[int, tuple[bytes, ...]]
     once. ``width`` is at most _BLOCK_BYTES, the largest chunk size.
 
     This is the memory bound of a build. The leaf pass of tree.build and
-    each level pass of _tree_over hash one block at a time, one preimage at
-    a time, and join its digests at once, so beyond the tree they return
+    each level pass of _tree_over hash one block at a time, one field at a
+    time, and join its digests at once, so beyond the tree they return
     they hold one block of field and digest objects (under 0.2 MB at the
     largest chunk size, under 0.1 MB for a block of digest pairs) and the
     joined blocks of the level in progress. Those are the size of the
@@ -287,12 +300,11 @@ def _fold(positions, nodes, proof, cursor, steps, levels_left, seen):
     underflow. Once the frontier is one node, the rest of the proof must be
     exactly one sibling per level of ``levels_left`` still left, which is
     checked before that node is hashed any further. Each level folded appends
-    (parent positions, preimages) to ``seen``: less its prefix byte, the
-    preimage of parent q is its two children, bytes [64q, 64q + 64) of the
-    level below.
+    (parent positions, pairs) to ``seen``: the pair of parent q is its two
+    children, bytes [64q, 64q + 64) of the level below, and is hashed as in
+    _node_hashes. A pair is a bytearray where a caller's bytearray is in it.
     """
-    sha256 = hashlib.sha256
-    prefix = _NODE_PREFIX
+    copy = _NODE_STATE.copy
     available = len(proof)
     # Distinct in-range positions narrow to one node by the root level at the latest.
     while len(positions) > 1:
@@ -306,19 +318,19 @@ def _fold(positions, nodes, proof, cursor, steps, levels_left, seen):
             pos = positions[i]
             node = nodes[i]
             if i + 1 < count and positions[i + 1] == pos ^ 1:
-                pairs.append(prefix + node + nodes[i + 1])
+                pairs.append(node + nodes[i + 1])
                 i += 2
             else:
                 if cursor == available:
                     return None  # proof underflow
                 sibling = proof[cursor]
                 cursor += 1
-                pairs.append(prefix + sibling + node if pos & 1 else prefix + node + sibling)
+                pairs.append(sibling + node if pos & 1 else node + sibling)
                 i += 1
             parents.append(pos >> 1)
         seen.append((parents, pairs))
         positions = parents
-        nodes = [sha256(pair).digest() for pair in pairs]
+        nodes = _node_hashes(pairs)
         steps -= 1
         levels_left -= 1
     if available - cursor != levels_left:
@@ -326,10 +338,12 @@ def _fold(positions, nodes, proof, cursor, steps, levels_left, seen):
     pos = positions[0]
     node = nodes[0]
     for sibling in proof[cursor : cursor + steps]:
-        pair = prefix + sibling + node if pos & 1 else prefix + node + sibling
+        pair = sibling + node if pos & 1 else node + sibling
         pos >>= 1
         seen.append(((pos,), (pair,)))
-        node = sha256(pair).digest()
+        state = copy()
+        state.update(pair)
+        node = state.digest()
     return [pos], [node], cursor + steps
 
 
@@ -375,11 +389,12 @@ def _keep(root: Digest, depth: int, bottom: int, seen: list) -> None:
     """Copy what a fold from level ``bottom`` that reproduced ``root`` saw into the record, the top level first.
 
     A record of another (root, depth) is replaced by a new one of all-None
-    levels. Each digest is new bytes, cut from a preimage, and the root is
-    copied, so no caller's bytearray is held. Written top down, one pair of
-    children at a time under a parent already held, the nodes held stay
-    closed under sibling and parent after every write, so a verify that reads
-    the record between two writes still reads only digests a fold vouched for.
+    levels. Each digest is new, exact bytes, cut from a pair and converted
+    where the pair is a bytearray, and the root is copied, so no caller's
+    bytearray is held. Written top down, one pair of children at a time
+    under a parent already held, the nodes held stay closed under sibling
+    and parent after every write, so a verify that reads the record between
+    two writes still reads only digests a fold vouched for.
     """
     global _kept
     levels = _kept_levels(root, depth)
@@ -388,8 +403,8 @@ def _keep(root: Digest, depth: int, bottom: int, seen: list) -> None:
         levels = [[None] * (1 << (depth - t)) for t in range(bottom, depth)] + [[key]]
         _kept = (key, depth, levels)
     for level, (parents, pairs) in reversed(list(zip(levels, seen))):
-        for parent, preimage in zip(parents, pairs):
-            level[2 * parent : 2 * parent + 2] = preimage[1:33], preimage[33:]
+        for parent, pair in zip(parents, pairs):
+            level[2 * parent : 2 * parent + 2] = bytes(pair[:32]), bytes(pair[32:])
 
 
 def _is_power_of_two(value) -> bool:

@@ -12,7 +12,6 @@ off as a proof for another.
 
 import enum
 import hashlib
-import struct
 
 from .bloom import BloomFilter, BloomParams, _Frozen, indices
 from .merkle import (
@@ -26,9 +25,9 @@ from .merkle import (
     _verify_leaves,
 )
 
-# The head of a leaf preimage, 0x00 || chunk index as 8-byte little-endian,
-# packed in one call: _LEAF_HEAD.pack(0, chunk_index).
-_LEAF_HEAD = struct.Struct("<BQ")
+# SHA-256 that has absorbed the leaf prefix 0x00. Only ever copied, so
+# threads may hash from it at once.
+_LEAF_STATE = hashlib.sha256(b"\x00")
 
 
 def leaf_hash(chunk_index: int, chunk: bytes) -> Digest:
@@ -42,11 +41,17 @@ def _leaf_hashes(indexed_chunks) -> list[Digest]:
     SHA-256(0x00 || chunk_index as 8-byte little-endian || chunk). The index
     salt is what makes chunk substitution detectable; the 0x00 prefix keeps
     leaf preimages disjoint from internal-node preimages. This is the one
-    place a leaf preimage is built.
+    place a leaf is hashed: a copy of _LEAF_STATE is fed the index, then the
+    chunk, so no preimage is built.
     """
-    sha256 = hashlib.sha256
-    head = _LEAF_HEAD.pack
-    return [sha256(head(0, i) + chunk).digest() for i, chunk in indexed_chunks]
+    copy = _LEAF_STATE.copy
+    digests = []
+    for i, chunk in indexed_chunks:
+        state = copy()
+        state.update(i.to_bytes(8, "little"))
+        state.update(chunk)
+        digests.append(state.digest())
+    return digests
 
 
 def locate(bit_index: int, params: BloomParams) -> tuple[int, int]:

@@ -123,10 +123,22 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "_tree_over hashes pairs without the 0x01 prefix",
-        "sha256(prefix + pair).digest() for pair in pairs",
-        "sha256(pair).digest() for pair in pairs",
+        "the node state is seeded without the 0x01 prefix",
+        '_NODE_STATE = hashlib.sha256(b"\\x01")',
+        "_NODE_STATE = hashlib.sha256()",
         ("tests/test_golden.py::test_wide_tree_levels_are_pinned",),
+    ),
+    Mutant(
+        "the leaf state is seeded with the node prefix 0x01",
+        '_LEAF_STATE = hashlib.sha256(b"\\x00")',
+        '_LEAF_STATE = hashlib.sha256(b"\\x01")',
+        ("tests/test_tree.py::TestLeafHash::test_golden_vectors",),
+    ),
+    Mutant(
+        "a node hash feeds the shared state, not a copy",
+        "        state = copy()\n        state.update(pair)\n        digests.append(state.digest())",
+        "        state = _NODE_STATE\n        state.update(pair)\n        digests.append(state.digest())",
+        ("tests/test_tree.py::TestBuild::test_the_shared_hash_states_are_never_fed",),
     ),
     Mutant(
         "derive_params drops the one-chunk floor",
@@ -199,9 +211,9 @@ MUTANTS = (
         ("tests/test_codec.py::TestVerdictsOnProofBytes::test_reencoded_proofs_get_the_spec_verdict",),
     ),
     Mutant(
-        "the leaf preimage drops the chunk index",
-        "sha256(head(0, i) + chunk)",
-        'sha256(b"\\x00" + chunk)',
+        "the leaf hash drops the chunk index",
+        '        state.update(i.to_bytes(8, "little"))\n',
+        "",
         ("tests/test_codec.py::TestVerdictsOnProofBytes::test_tampered_bytes_get_the_spec_verdict",),
     ),
     Mutant(
@@ -228,6 +240,12 @@ MUTANTS = (
         "the record holds the caller's root object",
         "key = bytes(root)",
         "key = root",
+        ("tests/test_merkle.py::TestKeptLevels::test_the_record_holds_copies_of_a_callers_bytearrays",),
+    ),
+    Mutant(
+        "the record holds bytearray halves of a caller's pairs",
+        "bytes(pair[:32]), bytes(pair[32:])",
+        "pair[:32], pair[32:]",
         ("tests/test_merkle.py::TestKeptLevels::test_the_record_holds_copies_of_a_callers_bytearrays",),
     ),
     Mutant(
@@ -311,8 +329,8 @@ MUTANTS = (
     ),
     Mutant(
         "a levels file is taken without comparing its key with the filter's SHA-256",
-        "not levels_file.startswith(head)",
-        "not levels_file.startswith(head[:5])",
+        "handle.read(len(head)) != head",
+        "handle.read(len(head))[:5] != head[:5]",
         ("tests/test_cli.py::TestLevelsFile::test_a_changed_filter_is_refused_as_before",),
     ),
     Mutant(
@@ -360,12 +378,12 @@ EQUIVALENTS = (
     Equivalent("merkle", "_prove", "1 to 2", "last = -1", "last starts below every parent position, and all are >= 0"),
     Equivalent("merkle", "_walk", "1 to 2", "last = -1", "last starts below every parent position, and all are >= 0"),
     Equivalent("codec", "_params", "16 to 17", "maxsize=16", "a cache size: a cached record equals a new one"),
-    Equivalent("cli", "_read_levels", "1 to 2", "size + 1", "a read of any more than size bytes tells a longer file by its length"),
+    Equivalent("cli", "_read_levels", "1 to 2", "handle.read(1)", "a read of any more bytes past the root tells a longer file as well"),
     Equivalent(
         "cli",
         "_read_levels",
-        "to its body",
-        "handle.read(size + 1) if stat.S_ISREG(os.fstat(handle.fileno()).st_mode) else b''",
+        "drop or operand 1",
+        "not stat.S_ISREG(os.fstat(handle.fileno()).st_mode) or handle.read(len(head)) != head",
         "on Linux a FIFO with no writer reads as no bytes, and no device holds the key",
     ),
     Equivalent("cli", "_open_nonblocking", "0 to 1", "getattr(os, 'O_NONBLOCK', 0)", "the default is for a platform without O_NONBLOCK, and every POSIX one has it"),

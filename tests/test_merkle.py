@@ -45,8 +45,8 @@ def node(tree: MerkleTree, level: int, index: int) -> bytes:
 
 
 def no_hashing():
-    """A stand-in for the hashlib module that fails the test if a node is hashed."""
-    return types.SimpleNamespace(sha256=lambda _: pytest.fail("hashed a node"))
+    """A stand-in for merkle._NODE_STATE, which every node hash copies, that fails the test if a node is hashed."""
+    return types.SimpleNamespace(copy=lambda: pytest.fail("hashed a node"))
 
 
 def flip_byte(digest: bytes, offset: int = 0) -> bytes:
@@ -320,7 +320,7 @@ class TestSingleProof:
         tree = build_tree(leaves)
         proof = prove_multi(tree, [1])
         entries = [(1, leaves[1])]
-        monkeypatch.setattr(merkle, "hashlib", types.SimpleNamespace(sha256=lambda _: pytest.fail("hashed a node")))
+        monkeypatch.setattr(merkle, "_NODE_STATE", no_hashing())
         assert not verify_multi(tree.root, entries, 4, proof[:1])
         assert not verify_multi(tree.root, entries, 4, proof + [bytes(32)])
 
@@ -333,7 +333,7 @@ class TestSingleProof:
         proof = prove_multi(tree, [1])
         entries = [(1, leaves[1])]
         assert verify_multi(tree.root, entries, count, proof)
-        monkeypatch.setattr(merkle, "hashlib", no_hashing())
+        monkeypatch.setattr(merkle, "_NODE_STATE", no_hashing())
         assert not verify_multi(tree.root, entries, count, proof[:-1])
         assert not verify_multi(tree.root, entries, count, proof + [bytes(32)])
 
@@ -558,7 +558,7 @@ class TestKeptLevels:
         tree = build_tree(leaves)
         for i in range(16):
             assert verify_multi(tree.root, [(i, leaves[i])], 16, prove_multi(tree, [i]))
-        monkeypatch.setattr(merkle, "hashlib", no_hashing())
+        monkeypatch.setattr(merkle, "_NODE_STATE", no_hashing())
         for subset in ([3], [0, 9], list(range(16))):
             assert verify_multi(tree.root, entries_for(leaves, subset), 16, prove_multi(tree, subset))
 
@@ -672,6 +672,9 @@ class TestKeptLevels:
         held = [bytearray(leaves[i]) for i in subset]
         digests = [bytearray(digest) for digest in proof]
         assert verify_multi(root, list(zip(subset, held)), 16, digests)
+        kept_root, _, levels = merkle._kept
+        assert type(kept_root) is bytes
+        assert {type(digest) for level in levels for digest in level} == {bytes, type(None)}
         for value in (root, *held, *digests):
             value[0] ^= 0x01
         honest = entries_for(leaves, subset)

@@ -1,10 +1,14 @@
+import hashlib
 import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bloomtree.tree
 import spec
 from bloomtree import codec, merkle
 from bloomtree.bloom import BloomFilter, BloomParams, indices
@@ -43,12 +47,12 @@ class ClaimsToBeBytes(type):
 
 
 def lying_chunks(honest: bytes, fill: int) -> list:
-    """Two stand-ins for the chunk ``honest`` that read ``fill`` at every index but hash as ``honest``.
+    """Two stand-ins for the chunk ``honest`` that read ``fill`` at every index.
 
-    One is a bytes subclass. The other holds no bytes at all: its class
-    compares equal to bytes, and its ``__class__`` says bytes, so isinstance
-    takes it for bytes too. Concatenation, which builds a leaf preimage, sees
-    the honest bytes in both.
+    One is a bytes subclass, whose buffer, which a leaf hash reads, holds the
+    honest bytes. The other holds no bytes at all: its class compares equal
+    to bytes, and its ``__class__`` says bytes, so isinstance takes it for
+    bytes too; it has no buffer, so a leaf hash of it raises TypeError.
     """
 
     class Subclass(bytes):
@@ -63,9 +67,6 @@ def lying_chunks(honest: bytes, fill: int) -> list:
 
         def __getitem__(self, index):
             return fill
-
-        def __radd__(self, other):
-            return other + honest
 
     return [Subclass(honest), Impostor()]
 
@@ -228,6 +229,57 @@ class TestBuild:
         bloom_tree = build(BloomFilter(params, bits))
         assert bloom_tree.tree.levels == tuple(b"".join(level) for level in expected)
         assert bloom_tree.root == expected[-1][0]
+
+    def test_threads_building_one_filter_at_once_get_the_serial_levels(self):
+        # Four threads, more than the cores, switching as often as the
+        # interpreter allows, hash every leaf and node of one filter from
+        # copies of the same two shared states at once. At 4 KiB chunks
+        # hashlib lets go of the interpreter lock while it hashes a leaf.
+        for chunk_size, chunk_count in ((8, 1024), (4096, 64)):
+            params = BloomParams(m=chunk_count * chunk_size * 8, k=3, chunk_size=chunk_size)
+            filt = BloomFilter(params, random.Random(f"threads-{chunk_size}").randbytes(params.byte_length))
+            serial = build(filt).tree.levels
+            built = []
+
+            def run(barrier):
+                barrier.wait(timeout=60)
+                for _ in range(3):
+                    built.append(build(filt).tree.levels)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                barrier = threading.Barrier(4)
+                threads = [threading.Thread(target=run, args=(barrier,)) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(built) == 12
+            assert all(levels == serial for levels in built), chunk_size
+
+    def test_the_shared_hash_states_are_never_fed(self, monkeypatch):
+        # Every leaf hash copies bloomtree.tree._LEAF_STATE, and every node hash
+        # merkle._NODE_STATE; a state fed in place would change every later
+        # digest in the process. After a build, proofs of both kinds, and cold
+        # and warm verifies of honest proofs and of proofs with a digest
+        # changed, both states still hold their domain byte alone.
+        bloom_tree, inserted, rng = populated_tree(params=PARAMS_32, count=1000, seed=34)
+        for element in (*inserted[:3], *(absent_element(bloom_tree, rng) for _ in range(3))):
+            proof = prove(bloom_tree, element)
+            field = "multiproof" if isinstance(proof, PresenceProof) else "path"
+            digests = list(getattr(proof, field))
+            digests[0] = bytes(32)
+            tampered = replaced(proof, **{field: tuple(digests)})
+            monkeypatch.setattr(merkle, "_kept", (None, -1, None))
+            assert not verify(bloom_tree.root, PARAMS_32, element, tampered).is_valid
+            assert verify(bloom_tree.root, PARAMS_32, element, proof).is_valid
+            assert not verify(bloom_tree.root, PARAMS_32, element, tampered).is_valid
+        assert merkle._NODE_STATE.copy().digest() == hashlib.sha256(b"\x01").digest()
+        assert bloomtree.tree._LEAF_STATE.copy().digest() == hashlib.sha256(b"\x00").digest()
 
     def test_build_of_large_chunks_holds_little_beyond_the_tree(self):
         # 64 chunks of 64 KiB: a block of many such chunks would hold MiBs.
@@ -610,9 +662,9 @@ class TestVerify:
     @pytest.mark.parametrize("stand_in", [0, 1], ids=["bytes-subclass", "impostor"])
     def test_chunks_that_lie_about_their_bits_are_invalid(self, stand_in):
         # Honest root, trusted params and honest paths: only the chunk objects
-        # lie, reading as all zeros or all ones while hashing as the committed
-        # bytes. Without exact types they prove a member absent and an
-        # outsider present.
+        # lie, reading as all zeros or all ones. Without exact types the bytes
+        # subclass, which hashes as the committed bytes, proves a member absent
+        # and an outsider present, and the impostor makes verify raise.
         bloom_tree, inserted, rng = populated_tree(seed=31)
         member = inserted[0]
         honest = prove(bloom_tree, member)
